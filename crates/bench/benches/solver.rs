@@ -4,7 +4,9 @@
 //! binary search).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qxmap_sat::{encode, minimize, Lit, MinimizeOptions, MinimizeStrategy, SolveResult, Solver};
+use qxmap_sat::{
+    encode, minimize, Lit, MinimizeOptions, MinimizeStrategy, Objective, SolveResult, Solver,
+};
 
 /// PHP(h+1, h) — a classic resolution-hard UNSAT family.
 fn pigeonhole(holes: usize) -> Solver {
@@ -96,15 +98,18 @@ fn bench_minimize_schedules(c: &mut Criterion) {
                 || {
                     let mut s = Solver::new();
                     let vars: Vec<Lit> = (0..24).map(|_| s.new_lit()).collect();
-                    // Overlapping exactly-one groups force a non-trivial optimum.
-                    for chunk in vars.chunks(6) {
+                    // Exactly-one groups force a non-trivial optimum; the
+                    // objective records each as an at-most-one group.
+                    let mut obj = Objective::new();
+                    for (c, chunk) in vars.chunks(6).enumerate() {
                         encode::exactly_one(&mut s, chunk);
+                        obj.push_group(
+                            chunk
+                                .iter()
+                                .enumerate()
+                                .map(|(j, &l)| (((6 * c + j) % 9 + 1) as u64, l)),
+                        );
                     }
-                    let obj: Vec<(u64, Lit)> = vars
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| ((i % 9 + 1) as u64, l))
-                        .collect();
                     (s, obj)
                 },
                 |(mut s, obj)| {

@@ -17,11 +17,19 @@
 //! each permutation and the reversal surcharge of each edge — is read from
 //! the [`DeviceModel`], the workspace's single authority on device costs;
 //! the paper's uniform 7/4 accounting is simply the default model.
+//!
+//! The objective keeps the exactly-one structure of the selectors: each
+//! change point's priced permutation selectors are recorded as one
+//! at-most-one group of the [`Objective`], so the minimizer's totalizer
+//! builds one grouped leaf per change point — one output per distinct
+//! SWAP cost — rather than one leaf per selector. The edge-use selectors
+//! of a gate are only *at least* one, so their weights stay independent
+//! terms.
 
 use std::collections::BTreeSet;
 
 use qxmap_arch::{CostedSwapTable, DeviceModel, Permutation};
-use qxmap_sat::{encode, Lit, Model, Solver};
+use qxmap_sat::{encode, Lit, Model, Objective, Solver};
 
 /// Size statistics of one built SAT instance — the quantities behind the
 /// paper's search-space discussion (`n·m·|G|` mapping variables,
@@ -58,8 +66,9 @@ pub(crate) struct Encoding {
     y: Vec<(usize, Vec<Lit>)>,
     /// All realizable permutations of the local subgraph (sorted).
     perms: Vec<Permutation>,
-    /// The weighted objective terms of Eq. (5).
-    pub objective: Vec<(u64, Lit)>,
+    /// The weighted objective of Eq. (5), one at-most-one group per change
+    /// point.
+    pub objective: Objective,
     num_logical: usize,
     num_phys: usize,
     build_time: std::time::Duration,
@@ -115,7 +124,7 @@ impl Encoding {
         debug_assert!(change_points.iter().all(|&k| k >= 1 && k < k_gates));
 
         let mut solver = Solver::new();
-        let mut objective: Vec<(u64, Lit)> = Vec::new();
+        let mut objective = Objective::new();
 
         // --- mapping variables + Eq. (1) -----------------------------------
         let mut x: Vec<Vec<Vec<Lit>>> = Vec::with_capacity(k_gates);
@@ -155,7 +164,7 @@ impl Encoding {
                     .execution_overhead(a, b)
                     .expect("(a,b) is an edge");
                 if w > 0 {
-                    objective.push((w, u));
+                    objective.push(w, u);
                 }
                 options.push(u);
                 // Reversed use (only when the opposite edge is absent;
@@ -174,7 +183,7 @@ impl Encoding {
                         .execution_overhead(b, a)
                         .expect("(a,b) exists and (b,a) does not");
                     if w > 0 {
-                        objective.push((w, ur));
+                        objective.push(w, ur);
                     }
                     options.push(ur);
                 }
@@ -190,6 +199,7 @@ impl Encoding {
             if change_points.contains(&k) {
                 let selectors: Vec<Lit> = (0..perms.len()).map(|_| solver.new_lit()).collect();
                 encode::exactly_one(&mut solver, &selectors);
+                let mut costs: Vec<(u64, Lit)> = Vec::with_capacity(perms.len());
                 for (pi_idx, pi) in perms.iter().enumerate() {
                     if interrupted() {
                         return None;
@@ -206,9 +216,11 @@ impl Encoding {
                     }
                     let cost = table.cost(pi).expect("perm comes from the table");
                     if cost > 0 {
-                        objective.push((cost, sel));
+                        costs.push((cost, sel));
                     }
                 }
+                // Exactly one selector holds: the priced ones are a group.
+                objective.push_group(costs);
                 y.push((k, selectors));
             } else {
                 // Layout frozen across this gate.
@@ -318,16 +330,49 @@ mod tests {
     }
 
     #[test]
+    fn objective_groups_are_the_change_point_selectors() {
+        let (model, table) = qx4_model();
+        let skeleton = [(2, 3), (0, 1), (1, 2), (0, 2), (2, 0)];
+        let points = [1usize, 3, 4].into_iter().collect();
+        let enc = Encoding::build(&skeleton, 4, &model, &table, &points);
+        let terms = enc.objective.terms();
+        let groups = enc.objective.groups();
+        assert_eq!(groups.len(), enc.y.len(), "one group per change point");
+        for (range, (_, selectors)) in groups.iter().zip(&enc.y) {
+            // The group is the change point's priced selectors, each
+            // weighted by its permutation's SWAP cost; only the identity
+            // is free.
+            let grouped: BTreeSet<(u64, Lit)> = terms[range.clone()].iter().copied().collect();
+            let priced: BTreeSet<(u64, Lit)> = selectors
+                .iter()
+                .zip(&enc.perms)
+                .map(|(&sel, pi)| (table.cost(pi).expect("table perm"), sel))
+                .filter(|&(cost, _)| cost > 0)
+                .collect();
+            assert_eq!(grouped, priced);
+            assert_eq!(grouped.len(), selectors.len() - 1);
+        }
+        // Every other term is an edge-use selector.
+        let selectors: BTreeSet<Lit> = enc.y.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+        let grouped = groups.iter().map(|g| g.len()).sum::<usize>();
+        let ungrouped: Vec<&(u64, Lit)> = terms
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !groups.iter().any(|g| g.contains(i)))
+            .map(|(_, t)| t)
+            .collect();
+        assert_eq!(ungrouped.len(), terms.len() - grouped);
+        assert!(!ungrouped.is_empty(), "QX4 prices reversals");
+        assert!(ungrouped.iter().all(|(_, l)| !selectors.contains(l)));
+    }
+
+    #[test]
     fn single_legal_gate_costs_zero() {
         let (model, table) = qx4_model();
         // CNOT(q0, q1) can sit directly on edge (1,0) etc.
         let mut enc = Encoding::build(&[(0, 1)], 2, &model, &table, &BTreeSet::new());
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 0);
         let layouts = enc.extract_layouts(&min.model);
         let (pc, pt) = (layouts[0][0], layouts[0][1]);
@@ -345,12 +390,8 @@ mod tests {
         let skeleton = [(0, 1), (1, 0)];
         let points = [1usize].into_iter().collect();
         let mut enc = Encoding::build(&skeleton, 2, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 4);
     }
 
@@ -364,12 +405,8 @@ mod tests {
         let skeleton = [(0, 1), (1, 0)];
         let points = [1usize].into_iter().collect();
         let mut enc = Encoding::build(&skeleton, 2, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         // Other pairs still repair for 4; only (1 → 2) costs 100.
         assert_eq!(min.cost, 4);
 
@@ -380,23 +417,15 @@ mod tests {
         // Default SWAP (7) now beats the dear reversal (100)...
         let table = CostedSwapTable::new(base.coupling_map());
         let mut enc = Encoding::build(&skeleton, 2, &base, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 7);
         // ... until the SWAP is calibrated dearer still.
         let model = base.with_swap_cost(0, 1, 300);
         let table = model.costed_table(&[0, 1]);
         let mut enc = Encoding::build(&skeleton, 2, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 100);
     }
 
@@ -408,12 +437,8 @@ mod tests {
         let model = DeviceModel::new(cm).with_cnot_cost(0, 1, 5);
         let table = CostedSwapTable::new(model.coupling_map());
         let mut enc = Encoding::build(&[(0, 1)], 2, &model, &table, &BTreeSet::new());
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 0, "the uncalibrated edge hosts the gate");
 
         // With a single edge the surcharge is unavoidable: a forward
@@ -421,12 +446,8 @@ mod tests {
         let model = DeviceModel::new(devices::linear(2)).with_cnot_cost(0, 1, 5);
         let table = CostedSwapTable::new(model.coupling_map());
         let mut enc = Encoding::build(&[(0, 1)], 2, &model, &table, &BTreeSet::new());
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 4);
     }
 
@@ -437,12 +458,8 @@ mod tests {
         let skeleton = [(2, 3), (0, 1), (1, 2), (0, 2), (2, 0)];
         let points = (1..skeleton.len()).collect();
         let mut enc = Encoding::build(&skeleton, 4, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 4);
         assert!(min.proved_optimal);
         // All transitions must be identity (cost 4 = one reversal, no swaps).
@@ -460,12 +477,8 @@ mod tests {
         // exists (q0→p3); cost = reversals only.
         let skeleton = [(0, 1), (0, 2), (0, 3)];
         let mut enc = Encoding::build(&skeleton, 4, &model, &table, &BTreeSet::new());
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         let layouts = enc.extract_layouts(&min.model);
         // Frozen: all steps equal.
         assert_eq!(layouts[0], layouts[1]);
@@ -482,11 +495,7 @@ mod tests {
         let skeleton = [(0, 1), (0, 2)];
         let points = (1..2).collect();
         let mut enc = Encoding::build(&skeleton, 3, &model, &table, &points);
-        let res = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        );
+        let res = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default());
         assert!(res.is_err());
     }
 
@@ -498,12 +507,8 @@ mod tests {
         let skeleton = [(0, 1), (1, 0)];
         let points = (1..2).collect();
         let mut enc = Encoding::build(&skeleton, 2, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         assert_eq!(min.cost, 0);
     }
 
@@ -517,12 +522,8 @@ mod tests {
         let skeleton = [(0, 1), (0, 2)];
         let points = (1..2).collect();
         let mut enc = Encoding::build(&skeleton, 3, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         // Optimal: place q0@p1? (0,1): q0@p1,q1@p2? then edge (1,2): c@1,t@2 ✓;
         // (0,2): q0@p1, q2 must be adjacent: p0 — edge (0,1) reversed: 4 H.
         // So minimum is 4 (one reversal), not 7.
@@ -537,12 +538,8 @@ mod tests {
         let skeleton = [(0, 1), (2, 3), (0, 3)];
         let points = (1..3).collect();
         let mut enc = Encoding::build(&skeleton, 4, &model, &table, &points);
-        let min = minimize(
-            &mut enc.solver,
-            &enc.objective.clone(),
-            MinimizeOptions::default(),
-        )
-        .expect("satisfiable");
+        let min = minimize(&mut enc.solver, &enc.objective, MinimizeOptions::default())
+            .expect("satisfiable");
         let layouts = enc.extract_layouts(&min.model);
         let perms = enc.extract_permutations(&min.model);
         for (k, pi) in perms {

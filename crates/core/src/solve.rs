@@ -333,7 +333,6 @@ impl ExactMapper {
             encode_span.counter("clauses", enc_stats.clauses as u64);
             encode_span.counter("build_us", enc_stats.build_us);
             encode_span.end();
-            let objective = enc.objective.clone();
             enc.solver.set_interrupt(Some(Arc::clone(&shared.cancel)));
             enc.solver.set_deadline(shared.deadline);
             enc.solver
@@ -345,9 +344,19 @@ impl ExactMapper {
                 ..self.config.minimize
             };
             let conflicts_before = enc.solver.stats().conflicts;
+            // Minimize grows the solver only by its totalizer.
+            let (vars_before, clauses_before) = (enc.solver.num_vars(), enc.solver.num_clauses());
             let mut minimize_span = trace.span(&format!("subset{i}/minimize"));
-            let outcome = minimize(&mut enc.solver, &objective, options);
+            let outcome = minimize(&mut enc.solver, &enc.objective, options);
             minimize_span.counter("conflicts", enc.solver.stats().conflicts - conflicts_before);
+            minimize_span.counter(
+                "objective_clauses",
+                (enc.solver.num_clauses() - clauses_before) as u64,
+            );
+            minimize_span.counter(
+                "objective_vars",
+                (enc.solver.num_vars() - vars_before) as u64,
+            );
             match &outcome {
                 Ok(min) => minimize_span.counter("iterations", u64::from(min.iterations)),
                 Err(MinimizeError::Unsatisfiable) => minimize_span.counter("unsat", 1),
@@ -361,8 +370,27 @@ impl ExactMapper {
                 minimize_span.counter(cause.label(), 1);
             }
             minimize_span.end();
-            let minimum = match outcome {
-                Ok(min) => min,
+            // Read the answer out and release the instance here. Freeing
+            // the clause database of a search cut short by a budget is
+            // what a deadline-bound request waits for after the search
+            // stops, so it gets a span of its own.
+            let outcome = outcome.map(|min| {
+                let layouts = enc.extract_layouts(&min.model);
+                let perms: BTreeMap<usize, _> =
+                    enc.extract_permutations(&min.model).into_iter().collect();
+                (min, layouts, perms)
+            });
+            let interrupted = match &outcome {
+                Ok((min, ..)) => !min.proved_optimal,
+                Err(e) => *e == MinimizeError::BudgetExhausted,
+            };
+            let teardown = interrupted.then(|| trace.span(&format!("subset{i}/teardown")));
+            drop(enc);
+            if let Some(span) = teardown {
+                span.end();
+            }
+            let (minimum, layouts, perms) = match outcome {
+                Ok(answer) => answer,
                 // Refuted strictly below `ub`: decided, but only *down to
                 // `ub`* — the floor records how far refutations reach, so
                 // the final result can't claim a proof across the gap an
@@ -389,11 +417,6 @@ impl ExactMapper {
                 continue;
             }
 
-            let layouts = enc.extract_layouts(&minimum.model);
-            let perms: BTreeMap<usize, _> = enc
-                .extract_permutations(&minimum.model)
-                .into_iter()
-                .collect();
             let (mapped, initial_layout, final_layout, swaps, reversals, placements) = assemble(
                 circuit,
                 self.model.coupling_map(),

@@ -18,9 +18,11 @@
 //!   behind `qxmap`'s parallel per-subset solves and racing portfolio.
 //! * [`encode`] — at-most-one / exactly-one / cardinality encodings.
 //! * [`totalizer`] — a *generalized totalizer* for weighted sums, whose
-//!   output literals can be assumed to bound the objective incrementally.
-//! * [`optimize`] — model-improving minimization of `F = Σ wᵢ·ℓᵢ`
-//!   (Definition 3's extended interpretation).
+//!   output literals can be assumed to bound the objective incrementally;
+//!   each at-most-one group of the objective is a single leaf.
+//! * [`optimize`] — the [`Objective`] type (weighted terms plus their
+//!   at-most-one groups) and model-improving minimization of
+//!   `F = Σ wᵢ·ℓᵢ` (Definition 3's extended interpretation).
 //! * [`dimacs`] — DIMACS CNF import/export.
 //! * [`brute`] — an exhaustive reference solver used by the test suite.
 //!
@@ -54,5 +56,7 @@ mod solver;
 pub mod totalizer;
 
 pub use lit::{Lit, Var};
-pub use optimize::{minimize, MinimizeError, MinimizeOptions, MinimizeStrategy, Minimum};
+pub use optimize::{
+    minimize, MinimizeError, MinimizeOptions, MinimizeStrategy, Minimum, Objective,
+};
 pub use solver::{Model, SolveResult, Solver, SolverStats, StopCause};

@@ -11,10 +11,108 @@
 //!   the bound;
 //! * **binary search**: bisect on `F ≤ mid` between 0 and the first model's
 //!   cost (the paper's footnote alternative).
+//!
+//! The objective is an [`Objective`]: its weighted terms plus the index
+//! ranges whose literals the hard clauses keep at most one of true — the
+//! structure Eq. (5) has at every change point, where exactly one
+//! permutation selector holds (Definition 5). The totalizer turns each
+//! such group into a single leaf.
+
+use std::ops::Range;
 
 use crate::lit::Lit;
 use crate::solver::{Model, SolveResult, Solver};
-use crate::totalizer::{evaluate, Totalizer};
+use crate::totalizer::Totalizer;
+
+/// A weighted objective `F = Σ wᵢ·ℓᵢ` and its at-most-one groups.
+///
+/// A *group* is a range of terms of which the caller's hard clauses keep
+/// at most one literal true, so the group contributes the weight of its
+/// one true term (or 0). Groups are disjoint and ascending; every term
+/// outside a group is independent. Grouping is a promise about the hard
+/// clauses, not a constraint: a group whose literals could be true
+/// together makes the bounds the totalizer derives from it unsound.
+///
+/// ```
+/// use qxmap_sat::{encode, minimize, MinimizeOptions, Objective, Solver};
+///
+/// let mut s = Solver::new();
+/// let y: Vec<_> = (0..3).map(|_| s.new_lit()).collect();
+/// encode::exactly_one(&mut s, &y);
+/// let mut objective = Objective::new();
+/// objective.push_group([(7, y[1]), (14, y[2])]); // y[0] costs nothing
+/// assert_eq!(objective.groups()[0], 0..2);
+/// let min = minimize(&mut s, &objective, MinimizeOptions::default()).unwrap();
+/// assert_eq!(min.cost, 0);
+/// assert!(min.model.value(y[0]));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Objective {
+    terms: Vec<(u64, Lit)>,
+    groups: Vec<Range<usize>>,
+}
+
+impl Objective {
+    /// An empty objective (constantly 0).
+    pub fn new() -> Objective {
+        Objective::default()
+    }
+
+    /// Adds an independent term `w·ℓ`.
+    pub fn push(&mut self, weight: u64, lit: Lit) {
+        self.terms.push((weight, lit));
+    }
+
+    /// Adds terms of which the hard clauses keep at most one literal true,
+    /// recording them as one group. An empty group records nothing.
+    pub fn push_group(&mut self, terms: impl IntoIterator<Item = (u64, Lit)>) {
+        let start = self.terms.len();
+        self.terms.extend(terms);
+        if self.terms.len() > start {
+            self.groups.push(start..self.terms.len());
+        }
+    }
+
+    /// All `(w, ℓ)` terms, grouped or not, in insertion order.
+    pub fn terms(&self) -> &[(u64, Lit)] {
+        &self.terms
+    }
+
+    /// The at-most-one groups, as ascending disjoint ranges of
+    /// [`Objective::terms`].
+    pub fn groups(&self) -> &[Range<usize>] {
+        &self.groups
+    }
+
+    /// Number of terms.
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// Whether there are no terms.
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// Evaluates `Σ wᵢ·ℓᵢ` under a model.
+    pub fn evaluate(&self, model: &Model) -> u64 {
+        self.terms
+            .iter()
+            .filter(|(_, l)| model.value(*l))
+            .map(|(w, _)| *w)
+            .sum()
+    }
+}
+
+/// Independent terms, no groups.
+impl From<Vec<(u64, Lit)>> for Objective {
+    fn from(terms: Vec<(u64, Lit)>) -> Objective {
+        Objective {
+            terms,
+            groups: Vec::new(),
+        }
+    }
+}
 
 /// Search schedule for [`minimize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,7 +199,9 @@ pub struct Minimum {
     pub iterations: u32,
 }
 
-/// Minimizes `Σ wᵢ·ℓᵢ` subject to the clauses already in `solver`.
+/// Minimizes `Σ wᵢ·ℓᵢ` subject to the clauses already in `solver`. The
+/// objective's groups must be at-most-one under those clauses (see
+/// [`Objective`]).
 ///
 /// The solver is left with only the original clauses plus consequences
 /// (bounds are applied via assumptions, never as permanent clauses), so it
@@ -116,7 +216,7 @@ pub struct Minimum {
 /// `proved_optimal: false`).
 ///
 /// ```
-/// use qxmap_sat::{minimize, MinimizeOptions, Solver};
+/// use qxmap_sat::{minimize, MinimizeOptions, Objective, Solver};
 ///
 /// // Example 4 of the paper: minimize F = x1 + x2 + x3 subject to
 /// // (x1 ∨ x2 ∨ ¬x3)(¬x1 ∨ x3)(¬x2 ∨ x3): minimum is all-false, F = 0.
@@ -127,14 +227,15 @@ pub struct Minimum {
 /// s.add_clause([x1, x2, !x3]);
 /// s.add_clause([!x1, x3]);
 /// s.add_clause([!x2, x3]);
-/// let min = minimize(&mut s, &[(1, x1), (1, x2), (1, x3)],
-///                    MinimizeOptions::default()).expect("satisfiable");
+/// let objective = Objective::from(vec![(1, x1), (1, x2), (1, x3)]);
+/// let min = minimize(&mut s, &objective, MinimizeOptions::default())
+///     .expect("satisfiable");
 /// assert_eq!(min.cost, 0);
 /// assert!(min.proved_optimal);
 /// ```
 pub fn minimize(
     solver: &mut Solver,
-    objective: &[(u64, Lit)],
+    objective: &Objective,
     options: MinimizeOptions,
 ) -> Result<Minimum, MinimizeError> {
     // The budget is shared by the *whole* minimization: each solve call
@@ -187,7 +288,7 @@ pub fn minimize(
             return Err(MinimizeError::BudgetExhausted);
         }
     };
-    let mut best_cost = evaluate(objective, &best);
+    let mut best_cost = objective.evaluate(&best);
     if best_cost == 0 {
         solver.set_conflict_budget(None);
         return Ok(Minimum {
@@ -235,7 +336,7 @@ pub fn minimize(
                 match budgeted_solve(solver, &[!bl]) {
                     SolveResult::Sat(m) => {
                         iterations += 1;
-                        let c = evaluate(objective, &m);
+                        let c = objective.evaluate(&m);
                         debug_assert!(c < best_cost);
                         best = m;
                         best_cost = c;
@@ -275,7 +376,7 @@ pub fn minimize(
                 match budgeted_solve(solver, &[!bl]) {
                     SolveResult::Sat(m) => {
                         iterations += 1;
-                        let c = evaluate(objective, &m);
+                        let c = objective.evaluate(&m);
                         debug_assert!(c <= mid);
                         best = m;
                         best_cost = c;
@@ -323,7 +424,7 @@ mod tests {
         s.add_clause([a]);
         s.add_clause([!a]);
         assert_eq!(
-            minimize(&mut s, &[(1, a)], MinimizeOptions::default()),
+            minimize(&mut s, &vec![(1, a)].into(), MinimizeOptions::default()),
             Err(MinimizeError::Unsatisfiable)
         );
     }
@@ -337,7 +438,7 @@ mod tests {
             let mut s = Solver::new();
             let v = lits(&mut s, 4);
             exactly_one(&mut s, &v);
-            let obj = vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])];
+            let obj = Objective::from(vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]);
             let min = minimize(
                 &mut s,
                 &obj,
@@ -354,12 +455,59 @@ mod tests {
     }
 
     #[test]
+    fn objective_records_groups_and_evaluates_true_terms() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        s.add_clause([v[0]]);
+        s.add_clause([!v[1]]);
+        s.add_clause([v[2]]);
+        let mut obj = Objective::new();
+        obj.push(7, v[0]);
+        obj.push_group([(4, v[1]), (9, v[2])]);
+        obj.push_group([]);
+        obj.push(1, v[3]);
+        assert_eq!(obj.groups().len(), 1);
+        assert_eq!(obj.groups()[0], 1..3);
+        assert_eq!(obj.len(), 4);
+        let m = s.solve_with_assumptions(&[!v[3]]).model().cloned().unwrap();
+        assert_eq!(obj.evaluate(&m), 16);
+        assert!(Objective::new().is_empty());
+    }
+
+    #[test]
+    fn grouped_objective_picks_cheapest_of_exactly_one() {
+        for strategy in [
+            MinimizeStrategy::LinearDescent,
+            MinimizeStrategy::BinarySearch,
+        ] {
+            let mut s = Solver::new();
+            let v = lits(&mut s, 8);
+            exactly_one(&mut s, &v[..4]);
+            exactly_one(&mut s, &v[4..]);
+            // The cheap member of one group excludes the other's.
+            s.add_clause([!v[1], !v[6]]);
+            let mut obj = Objective::new();
+            obj.push_group([(9, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]);
+            obj.push_group([(3, v[4]), (8, v[5]), (0, v[6]), (6, v[7])]);
+            let min = minimize(
+                &mut s,
+                &obj,
+                MinimizeOptions::default().with_strategy(strategy),
+            )
+            .expect("sat");
+            assert_eq!(min.cost, 5, "{strategy:?}");
+            assert!(min.proved_optimal);
+        }
+    }
+
+    #[test]
     fn forced_positive_cost() {
         // x1 ∨ x2 with weights 7 and 4: minimum 4.
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
         s.add_clause([v[0], v[1]]);
-        let min = minimize(&mut s, &[(7, v[0]), (4, v[1])], MinimizeOptions::default()).unwrap();
+        let obj = Objective::from(vec![(7, v[0]), (4, v[1])]);
+        let min = minimize(&mut s, &obj, MinimizeOptions::default()).unwrap();
         assert_eq!(min.cost, 4);
         assert!(!min.model.value(v[0]) && min.model.value(v[1]));
     }
@@ -370,7 +518,7 @@ mod tests {
         let v = lits(&mut s, 2);
         s.add_clause([v[0], v[1]]); // free to pick either; obj over other vars
         let w = s.new_lit();
-        let min = minimize(&mut s, &[(3, w)], MinimizeOptions::default()).unwrap();
+        let min = minimize(&mut s, &vec![(3, w)].into(), MinimizeOptions::default()).unwrap();
         assert_eq!(min.cost, 0);
         assert_eq!(min.iterations, 1);
     }
@@ -384,7 +532,7 @@ mod tests {
             let mut s = Solver::new();
             let v = lits(&mut s, 4);
             exactly_one(&mut s, &v);
-            let obj = vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])];
+            let obj = Objective::from(vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]);
             let min = minimize(
                 &mut s,
                 &obj,
@@ -408,7 +556,7 @@ mod tests {
         s.add_clause([v[0], v[1]]);
         let err = minimize(
             &mut s,
-            &[(7, v[0]), (4, v[1])],
+            &vec![(7, v[0]), (4, v[1])].into(),
             MinimizeOptions {
                 initial_upper_bound: Some(4),
                 ..Default::default()
@@ -419,7 +567,7 @@ mod tests {
         // A zero bound can never be beaten.
         let err = minimize(
             &mut s,
-            &[(7, v[0]), (4, v[1])],
+            &vec![(7, v[0]), (4, v[1])].into(),
             MinimizeOptions {
                 initial_upper_bound: Some(0),
                 ..Default::default()
@@ -445,7 +593,7 @@ mod tests {
         s.set_interrupt(Some(Arc::new(AtomicBool::new(true))));
         let err = minimize(
             &mut s,
-            &[(1, v[0]), (1, v[1]), (1, v[2])],
+            &vec![(1, v[0]), (1, v[1]), (1, v[2])].into(),
             MinimizeOptions {
                 initial_upper_bound: Some(3),
                 ..Default::default()
@@ -460,7 +608,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         exactly_one(&mut s, &v);
-        let obj: Vec<(u64, Lit)> = vec![(1, v[0]), (2, v[1]), (3, v[2])];
+        let obj = Objective::from(vec![(1, v[0]), (2, v[1]), (3, v[2])]);
         let min = minimize(&mut s, &obj, MinimizeOptions::default()).unwrap();
         assert_eq!(min.cost, 1);
         // The formula is still just "exactly one": forcing v[2] must work.
@@ -495,6 +643,7 @@ mod tests {
                     s.add_clause(cl.iter().map(|&(i, pos)| if pos { v[i] } else { !v[i] }));
                 }
                 let obj: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
+                let obj = Objective::from(obj);
                 minimize(
                     &mut s,
                     &obj,
@@ -569,6 +718,7 @@ mod tests {
                 }));
             }
             let obj: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
+            let obj = Objective::from(obj);
             let got = minimize(&mut s, &obj, MinimizeOptions::default())
                 .ok()
                 .map(|m| m.cost);

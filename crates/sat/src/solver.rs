@@ -273,6 +273,8 @@ pub struct Solver {
     seen: Vec<bool>,
     stats: SolverStats,
     num_learnts: usize,
+    /// Problem (non-learnt) clauses attached; they are never deleted.
+    num_problem_clauses: usize,
     max_learnts: f64,
     conflict_budget: Option<u64>,
     shared_conflict_pool: Option<Arc<AtomicU64>>,
@@ -319,12 +321,10 @@ impl Solver {
         self.num_vars as usize
     }
 
-    /// Number of problem (non-learnt, non-deleted) clauses.
+    /// Number of problem (non-learnt) clauses stored. Units and clauses
+    /// satisfied at the root when added are absorbed, not stored.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
+        self.num_problem_clauses
     }
 
     /// Search statistics so far.
@@ -493,6 +493,8 @@ impl Solver {
         });
         if learnt {
             self.num_learnts += 1;
+        } else {
+            self.num_problem_clauses += 1;
         }
         idx
     }
@@ -630,12 +632,10 @@ impl Solver {
 
         loop {
             self.bump_clause(confl as usize);
-            let lits = self.clauses[confl as usize].lits.clone();
-            let skip_first = p.is_some();
-            for (pos, &q) in lits.iter().enumerate() {
-                if skip_first && pos == 0 {
-                    continue;
-                }
+            // The reason's first literal is the one it implied (`p`).
+            let first = usize::from(p.is_some());
+            for pos in first..self.clauses[confl as usize].lits.len() {
+                let q = self.clauses[confl as usize].lits[pos];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -747,8 +747,13 @@ impl Solver {
                 .partial_cmp(&self.clauses[b].activity)
                 .expect("activities are finite")
         });
+        // A deleted clause's literals are released at once: `propagate`
+        // drops its watchers on sight without reading them, and locked
+        // clauses (the only ones `analyze` can reach) are never deleted.
         for &i in learnts.iter().take(learnts.len() / 2) {
-            self.clauses[i].deleted = true;
+            let c = &mut self.clauses[i];
+            c.deleted = true;
+            c.lits = Vec::new();
             self.num_learnts -= 1;
         }
     }
@@ -994,6 +999,28 @@ mod tests {
             assert_eq!(s.solve(), SolveResult::Unsat, "PHP({holes})");
             assert!(s.stats().conflicts > 0);
         }
+    }
+
+    #[test]
+    fn clause_count_ignores_learnts_and_reduction_releases_them() {
+        let mut s = pigeonhole(6);
+        let problem = s.clauses.len();
+        assert_eq!(s.num_clauses(), problem);
+        // A tiny learnt limit forces many database reductions.
+        s.max_learnts = 20.0;
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.num_clauses(), problem, "learnts are not problem clauses");
+        let deleted: Vec<&Clause> = s.clauses.iter().filter(|c| c.deleted).collect();
+        assert!(!deleted.is_empty(), "the reduction must have run");
+        assert!(deleted.iter().all(|c| c.learnt && c.lits.is_empty()));
+
+        // Units and tautologies are absorbed, not stored.
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause([v[0]]);
+        s.add_clause([v[1], !v[1]]);
+        s.add_clause([v[1], v[2]]);
+        assert_eq!(s.num_clauses(), 1);
     }
 
     #[test]

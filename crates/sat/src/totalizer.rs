@@ -7,12 +7,26 @@
 //! clamped to the cap, keeping the encoding small when only bounds below
 //! the cap will ever be queried.
 //!
+//! The leaves follow the [`Objective`]'s structure. An independent term is
+//! a leaf whose one output is the term's own literal. An at-most-one
+//! group — at most one of its literals is true, as with the permutation
+//! selectors of one change point — is a *grouped leaf*: the group's sum
+//! is the weight of its one true term, so the leaf gets one fresh output
+//! `o_w` per distinct clamped weight, a clause `ℓ → o_{w(ℓ)}` per term, and
+//! the ordering clauses. A change point's 119 non-identity selectors on a
+//! 5-qubit device thus enter the tree as one leaf with a handful of
+//! outputs (one per SWAP-cost level) instead of 119 leaves whose merges
+//! would enumerate sums of several selectors that can never hold
+//! together (Joshi, Martins & Manquinho, CP 2015; Bofill et al.,
+//! CPAIOR 2019).
+//!
 //! The root's output literals let a caller bound the objective
 //! *incrementally*: `F ≤ B` is the single assumption `¬(first output
 //! literal with weight > B)`, thanks to the ordering clauses
 //! `o_{w₊} → o_{w₋}` added at every node.
 
 use crate::lit::Lit;
+use crate::optimize::Objective;
 use crate::solver::Solver;
 
 /// The root outputs of an encoded weighted sum.
@@ -24,8 +38,8 @@ pub struct Totalizer {
 }
 
 impl Totalizer {
-    /// Encodes `terms` (weight, literal) into `solver`, clamping attainable
-    /// sums at `cap`.
+    /// Encodes `objective` into `solver`, one leaf per independent term
+    /// and per at-most-one group, clamping attainable sums at `cap`.
     ///
     /// Zero-weight terms are ignored. With no (non-trivial) terms the sum
     /// is constantly 0 and there are no outputs.
@@ -33,8 +47,8 @@ impl Totalizer {
     /// # Panics
     ///
     /// Panics if `cap == 0`.
-    pub fn encode(solver: &mut Solver, terms: &[(u64, Lit)], cap: u64) -> Totalizer {
-        Totalizer::encode_impl(solver, terms, cap, false)
+    pub fn encode(solver: &mut Solver, objective: &Objective, cap: u64) -> Totalizer {
+        Totalizer::encode_impl(solver, objective, cap, false)
             .expect("uninterruptible encoding always completes")
     }
 
@@ -54,24 +68,34 @@ impl Totalizer {
     /// Panics if `cap == 0`.
     pub fn encode_interruptible(
         solver: &mut Solver,
-        terms: &[(u64, Lit)],
+        objective: &Objective,
         cap: u64,
     ) -> Option<Totalizer> {
-        Totalizer::encode_impl(solver, terms, cap, true)
+        Totalizer::encode_impl(solver, objective, cap, true)
     }
 
     fn encode_impl(
         solver: &mut Solver,
-        terms: &[(u64, Lit)],
+        objective: &Objective,
         cap: u64,
         interruptible: bool,
     ) -> Option<Totalizer> {
         assert!(cap > 0, "cap must be positive");
-        let mut leaves: Vec<Vec<(u64, Lit)>> = terms
-            .iter()
-            .filter(|(w, _)| *w > 0)
-            .map(|&(w, l)| vec![(w.min(cap), l)])
-            .collect();
+        let terms = objective.terms();
+        let mut groups = objective.groups().iter().peekable();
+        let mut leaves: Vec<Vec<(u64, Lit)>> = Vec::new();
+        let mut i = 0;
+        while i < terms.len() {
+            let range = groups
+                .next_if(|g| g.start == i)
+                .cloned()
+                .unwrap_or(i..i + 1);
+            i = range.end;
+            let leaf = leaf(solver, &terms[range], cap);
+            if !leaf.is_empty() {
+                leaves.push(leaf);
+            }
+        }
         if leaves.is_empty() {
             return Some(Totalizer {
                 outputs: Vec::new(),
@@ -135,6 +159,38 @@ impl Totalizer {
     }
 }
 
+/// The leaf of terms of which at most one is true: its outputs are the
+/// distinct clamped weights, each implied by the terms of that weight. A
+/// lone term is its own output, with no fresh literal.
+fn leaf(solver: &mut Solver, terms: &[(u64, Lit)], cap: u64) -> Vec<(u64, Lit)> {
+    let mut live: Vec<(u64, Lit)> = terms
+        .iter()
+        .filter(|(w, _)| *w > 0)
+        .map(|&(w, l)| (w.min(cap), l))
+        .collect();
+    if live.len() <= 1 {
+        return live;
+    }
+    live.sort_unstable_by_key(|&(w, _)| w);
+    let mut out: Vec<(u64, Lit)> = Vec::new();
+    for (w, l) in live {
+        let o = match out.last() {
+            Some(&(last, o)) if last == w => o,
+            _ => {
+                let o = solver.new_lit();
+                out.push((w, o));
+                o
+            }
+        };
+        solver.add_clause([!l, o]);
+    }
+    // Ordering: sum ≥ w₊ implies sum ≥ w₋.
+    for pair in out.windows(2) {
+        solver.add_clause([!pair[1].1, pair[0].1]);
+    }
+    out
+}
+
 /// Merges two children, producing the parent's `(sum, literal)` list with
 /// implication clauses:
 /// `a_w → o_w`, `b_w → o_w`, `a_u ∧ b_v → o_{min(u+v, cap)}`, plus ordering
@@ -186,15 +242,6 @@ fn merge(solver: &mut Solver, a: &[(u64, Lit)], b: &[(u64, Lit)], cap: u64) -> V
     out
 }
 
-/// Evaluates `Σ wᵢ·ℓᵢ` under a model.
-pub fn evaluate(terms: &[(u64, Lit)], model: &crate::solver::Model) -> u64 {
-    terms
-        .iter()
-        .filter(|(_, l)| model.value(*l))
-        .map(|(w, _)| *w)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,14 +253,30 @@ mod tests {
 
     /// Exhaustively verify: for every assignment of the term literals, the
     /// formula with assumption `sum ≤ bound` is satisfiable extending that
-    /// assignment iff the true weighted sum is ≤ bound.
-    fn check_bounds_exhaustively(weights: &[u64]) {
+    /// assignment iff the true weighted sum is ≤ bound. Each `(start, end)`
+    /// group in `groups` is made at-most-one by hard clauses, and
+    /// assignments that break one must be unsatisfiable whatever the bound.
+    fn check_bounds_exhaustively(weights: &[u64], groups: &[(usize, usize)]) {
+        let groups: Vec<std::ops::Range<usize>> = groups.iter().map(|&(a, b)| a..b).collect();
         let cap: u64 = weights.iter().sum::<u64>() + 1;
         for bound in 0..weights.iter().sum::<u64>() {
             let mut s = Solver::new();
             let v = lits(&mut s, weights.len());
-            let terms: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
-            let tot = Totalizer::encode(&mut s, &terms, cap);
+            let mut objective = Objective::new();
+            let mut i = 0;
+            for g in &groups {
+                for j in i..g.start {
+                    objective.push(weights[j], v[j]);
+                }
+                crate::encode::at_most_one(&mut s, &v[g.clone()]);
+                objective.push_group(g.clone().map(|j| (weights[j], v[j])));
+                i = g.end;
+            }
+            for j in i..weights.len() {
+                objective.push(weights[j], v[j]);
+            }
+            assert_eq!(objective.groups(), groups);
+            let tot = Totalizer::encode(&mut s, &objective, cap);
             let bound_lit = tot.bound_literal(bound);
             for mask in 0..(1u32 << weights.len()) {
                 let mut assumptions: Vec<Lit> = (0..weights.len())
@@ -226,8 +289,11 @@ mod tests {
                     .filter(|i| mask & (1 << i) != 0)
                     .map(|i| weights[i])
                     .sum();
+                let feasible = groups
+                    .iter()
+                    .all(|g| g.clone().filter(|i| mask & (1 << i) != 0).count() <= 1);
                 let res = s.solve_with_assumptions(&assumptions);
-                if sum <= bound {
+                if feasible && sum <= bound {
                     assert!(
                         res.is_sat(),
                         "weights={weights:?} mask={mask:b} bound={bound}"
@@ -245,33 +311,33 @@ mod tests {
 
     #[test]
     fn unit_weights_behave_like_cardinality() {
-        check_bounds_exhaustively(&[1, 1, 1, 1]);
+        check_bounds_exhaustively(&[1, 1, 1, 1], &[]);
     }
 
     #[test]
     fn paper_weights_seven_and_four() {
         // The actual weight profile of Eq. 5: multiples of 7 plus 4s.
-        check_bounds_exhaustively(&[7, 7, 14, 4, 4]);
+        check_bounds_exhaustively(&[7, 7, 14, 4, 4], &[]);
     }
 
     #[test]
     fn mixed_weights() {
-        check_bounds_exhaustively(&[3, 5, 2]);
-        check_bounds_exhaustively(&[10, 1, 1, 1]);
+        check_bounds_exhaustively(&[3, 5, 2], &[]);
+        check_bounds_exhaustively(&[10, 1, 1, 1], &[]);
     }
 
     #[test]
     fn zero_weight_terms_are_ignored() {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
-        let tot = Totalizer::encode(&mut s, &[(0, v[0]), (5, v[1])], 10);
+        let tot = Totalizer::encode(&mut s, &vec![(0, v[0]), (5, v[1])].into(), 10);
         assert_eq!(tot.outputs().len(), 1);
     }
 
     #[test]
     fn empty_objective_has_no_outputs() {
         let mut s = Solver::new();
-        let tot = Totalizer::encode(&mut s, &[], 10);
+        let tot = Totalizer::encode(&mut s, &Objective::new(), 10);
         assert!(tot.outputs().is_empty());
         assert_eq!(tot.bound_literal(3), None);
         assert_eq!(tot.cap(), 10);
@@ -281,7 +347,7 @@ mod tests {
     fn cap_clamps_large_sums() {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
-        let terms = vec![(100u64, v[0]), (100, v[1]), (100, v[2])];
+        let terms = Objective::from(vec![(100u64, v[0]), (100, v[1]), (100, v[2])]);
         let tot = Totalizer::encode(&mut s, &terms, 150);
         // Attainable clamped sums: 100, 150.
         let ws: Vec<u64> = tot.outputs().iter().map(|(w, _)| *w).collect();
@@ -297,7 +363,7 @@ mod tests {
     fn bound_at_or_above_cap_panics() {
         let mut s = Solver::new();
         let v = s.new_lit();
-        let tot = Totalizer::encode(&mut s, &[(5, v)], 6);
+        let tot = Totalizer::encode(&mut s, &vec![(5, v)].into(), 6);
         let _ = tot.bound_literal(6);
     }
 
@@ -308,7 +374,7 @@ mod tests {
 
         let mut s = Solver::new();
         let v = lits(&mut s, 4);
-        let terms: Vec<(u64, Lit)> = v.iter().map(|&l| (1, l)).collect();
+        let terms = Objective::from(v.iter().map(|&l| (1, l)).collect::<Vec<_>>());
         let flag = Arc::new(AtomicBool::new(true));
         s.set_interrupt(Some(flag.clone()));
         assert!(s.stop_requested());
@@ -332,19 +398,46 @@ mod tests {
         let mut s = Solver::new();
         let v = s.new_lit();
         s.set_interrupt(Some(Arc::new(AtomicBool::new(true))));
-        let tot = Totalizer::encode_interruptible(&mut s, &[(3, v)], 5).expect("no merges");
+        let tot =
+            Totalizer::encode_interruptible(&mut s, &vec![(3, v)].into(), 5).expect("no merges");
         assert_eq!(tot.outputs().len(), 1);
     }
 
     #[test]
-    fn evaluate_sums_true_terms() {
+    fn grouped_leaves_bound_exactly() {
+        // One change point's SWAP-cost levels next to independent
+        // reversal weights, and two groups side by side.
+        check_bounds_exhaustively(&[4, 7, 14, 7, 21, 4], &[(1, 5)]);
+        check_bounds_exhaustively(&[7, 14, 3, 5, 2], &[(0, 2), (2, 5)]);
+        check_bounds_exhaustively(&[0, 6, 6], &[(0, 3)]);
+    }
+
+    #[test]
+    fn grouped_leaf_has_one_output_per_distinct_weight() {
         let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0]]);
-        s.add_clause([!v[1]]);
-        s.add_clause([v[2]]);
-        let m = s.solve().model().cloned().unwrap();
-        let terms = vec![(7u64, v[0]), (4, v[1]), (9, v[2])];
-        assert_eq!(evaluate(&terms, &m), 16);
+        let v = lits(&mut s, 5);
+        let mut objective = Objective::new();
+        objective.push_group([(7, v[0]), (14, v[1]), (7, v[2]), (0, v[3]), (21, v[4])]);
+        let (vars, clauses) = (s.num_vars(), s.num_clauses());
+        let tot = Totalizer::encode(&mut s, &objective, 15);
+        // 21 clamps to the cap, a level of its own; the zero weight has none.
+        let ws: Vec<u64> = tot.outputs().iter().map(|(w, _)| *w).collect();
+        assert_eq!(ws, vec![7, 14, 15]);
+        // One fresh literal per level; one clause per non-zero term plus
+        // two ordering clauses; no merge, since the group is the only leaf.
+        assert_eq!(s.num_vars() - vars, 3);
+        assert_eq!(s.num_clauses() - clauses, 4 + 2);
+    }
+
+    #[test]
+    fn lone_grouped_term_is_its_own_output() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 2);
+        let mut objective = Objective::new();
+        objective.push_group([(0, v[0]), (9, v[1])]);
+        let vars = s.num_vars();
+        let tot = Totalizer::encode(&mut s, &objective, 20);
+        assert_eq!(tot.outputs(), &[(9, v[1])]);
+        assert_eq!(s.num_vars(), vars);
     }
 }

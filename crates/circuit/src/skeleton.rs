@@ -102,7 +102,7 @@ impl CircuitSkeleton {
     /// hashing and [`CircuitSkeleton::fingerprint`]. Exposed (together
     /// with [`CircuitSkeleton::from_parts`]) so external stores can
     /// persist skeletons byte-for-byte and reconstruct them in another
-    /// process; the encoding is stable for a given snapshot version.
+    /// process; the encoding is stable for a given journal version.
     pub fn tokens(&self) -> &[u64] {
         &self.tokens
     }
@@ -118,8 +118,8 @@ impl CircuitSkeleton {
     /// token stream itself is taken as-is: it only ever participates in
     /// equality and hashing, so a corrupted stream yields a key that
     /// matches nothing, never an out-of-bounds access. Callers keep an
-    /// end-to-end checksum over persisted skeletons (as the solve-cache
-    /// snapshot format does) to reject accidental corruption outright.
+    /// end-to-end checksum over persisted skeletons (as each solve-cache
+    /// journal record does) to reject accidental corruption outright.
     pub fn from_parts(
         num_qubits: usize,
         num_clbits: usize,

@@ -52,7 +52,7 @@ use qxmap_core::Strategy;
 
 use crate::report::MapReport;
 use crate::request::{Guarantee, MapRequest};
-use crate::snapshot::{self, Reader, SnapshotError, Writer, MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{self, Reader, SnapshotError, Writer};
 
 /// Default capacity of the process-wide [`SolveCache::shared`] instance,
 /// used when [`SOLVE_CACHE_CAPACITY_ENV`] is unset or unparsable.
@@ -335,7 +335,7 @@ impl CacheKey {
         }
     }
 
-    /// Serializes the key into a snapshot or journal stream.
+    /// Serializes the key into a journal record.
     pub(crate) fn write(&self, w: &mut Writer) {
         w.str(&self.engine);
         snapshot::write_skeleton(w, &self.skeleton);
@@ -361,7 +361,7 @@ impl CacheKey {
         }
     }
 
-    /// Deserializes a key from a snapshot or journal stream.
+    /// Deserializes a key from a journal record.
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<CacheKey, SnapshotError> {
         let engine = r.str()?;
         let skeleton = snapshot::read_skeleton(r)?;
@@ -675,9 +675,8 @@ impl SolveCache {
     }
 
     /// Every held entry — key, correspondence, shared report, recency
-    /// stamp — sorted least-recently-used first: the shared substrate of
-    /// [`SolveCache::export_snapshot`] and journal compaction. The lock
-    /// is held only for the key clones and `Arc` bumps.
+    /// stamp — sorted least-recently-used first, for journal compaction.
+    /// The lock is held only for the key clones and `Arc` bumps.
     pub(crate) fn export_entries(&self) -> Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> {
         let mut entries: Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> = {
             let inner = self.inner.lock().expect("no panics under the lock");
@@ -740,176 +739,6 @@ impl SolveCache {
         Ok(true)
     }
 
-    /// Serializes every held entry — the budget-class entries *and* the
-    /// budget-erased proved-optimal tier — into the versioned snapshot
-    /// format. Entries are written in recency
-    /// order (least-recently-used first), so an importer replaying them
-    /// reconstructs this cache's LRU order; the stream is sealed with a
-    /// checksum and carries [`SNAPSHOT_VERSION`].
-    ///
-    /// This is the serving tier's restart/replica warm-start surface:
-    /// the daemon snapshots on shutdown and imports on boot, so a
-    /// repeated request after a restart is still a sub-millisecond
-    /// cache hit.
-    pub fn export_snapshot(&self) -> Vec<u8> {
-        // Snapshot the entries under the lock — a key clone and an `Arc`
-        // bump each — and do the real work (deep circuit/layout
-        // encoding) outside it, so a live daemon's sub-millisecond
-        // lookups never stall behind a multi-megabyte serialization.
-        let entries = self.export_entries();
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        w.u64(entries.len() as u64);
-        for (key, canon_to_original, report, _) in &entries {
-            key.write(&mut w);
-            w.usizes(canon_to_original);
-            snapshot::write_report(&mut w, report);
-        }
-        let sum = snapshot::checksum(w.bytes());
-        w.u64(sum);
-        w.into_bytes()
-    }
-
-    /// Imports a snapshot produced by [`SolveCache::export_snapshot`],
-    /// merging its entries into this cache, and returns how many entries
-    /// were admitted. Imports are all-or-nothing per file: a bad magic,
-    /// a mismatched [`SNAPSHOT_VERSION`], a truncated stream, a checksum
-    /// mismatch or structurally invalid data rejects the whole snapshot
-    /// with no entry admitted.
-    ///
-    /// Keys already present keep their live entry (it is at least as
-    /// fresh as the snapshot's), and *every* live entry outranks *every*
-    /// imported one in LRU order — a snapshot is history, so capacity
-    /// pressure evicts snapshot entries before anything the running
-    /// process actually used. Among themselves, imported entries keep
-    /// the snapshot's recency order, so a capacity-constrained import
-    /// into a fresh cache keeps exactly the entries the exporter's own
-    /// LRU policy would have kept. Imported entries are charged to the
-    /// byte accounting like any insert; hit/miss counters are untouched
-    /// (they describe this process's lifetime, not the snapshot's).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SnapshotError`] describing the first defect found.
-    pub fn import_snapshot(&self, bytes: &[u8]) -> Result<usize, SnapshotError> {
-        if bytes.len() < MAGIC.len() {
-            return Err(if MAGIC.starts_with(bytes) {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::BadMagic
-            });
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut header = Reader::new(&bytes[MAGIC.len()..]);
-        let found = header.u32()?;
-        if found != SNAPSHOT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                found,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        // The trailing checksum seals everything before it; verify before
-        // trusting a single length field.
-        let content_len = bytes
-            .len()
-            .checked_sub(8)
-            .filter(|&l| l >= MAGIC.len() + 4)
-            .ok_or(SnapshotError::Truncated)?;
-        let declared = u64::from_le_bytes(bytes[content_len..].try_into().expect("8 bytes"));
-        if snapshot::checksum(&bytes[..content_len]) != declared {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-
-        // Decode every entry before touching the cache: all-or-nothing.
-        let body = &bytes[MAGIC.len() + 4..content_len];
-        let mut r = Reader::new(body);
-        let count = r.len()?;
-        // Preallocate only what the stream could actually hold: the
-        // checksum keeps honest files honest, but a buggy (or hostile)
-        // producer can seal any count it likes, and a declared count
-        // must never translate into a huge allocation before the
-        // entries that justify it are decoded. The smallest encodable
-        // entry is far above 64 bytes.
-        let mut decoded: Vec<(CacheKey, Vec<usize>, Arc<MapReport>)> =
-            Vec::with_capacity(count.min(r.remaining() / 64));
-        // Entries that serialized the same report bytes (a proved
-        // solve's base entry + proved-tier entry share one `Arc` live)
-        // get one shared `Arc` back, so a warm start costs the same
-        // report heap the exporting process paid — not double.
-        let mut shared_reports: HashMap<&[u8], Arc<MapReport>> = HashMap::new();
-        for _ in 0..count {
-            let key = CacheKey::read(&mut r)?;
-            let canon_to_original = r.usizes()?;
-            let span_start = r.position();
-            let report = snapshot::read_report(&mut r)?;
-            let report = match shared_reports.entry(&body[span_start..r.position()]) {
-                std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    Arc::clone(e.insert(Arc::new(report)))
-                }
-            };
-            // The correspondence table must be a permutation of the
-            // skeleton's labels — lookups index through it unchecked.
-            if let Some(defect) = correspondence_defect(&key, &canon_to_original) {
-                return Err(SnapshotError::Corrupted(defect));
-            }
-            decoded.push((key, canon_to_original, report));
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Corrupted("trailing bytes after entries"));
-        }
-        // Our exporter never emits a key twice; a duplicate means a
-        // corrupt or crafted file, and silently replacing the first
-        // occurrence would also desynchronize the byte accounting.
-        let mut keys = std::collections::HashSet::with_capacity(decoded.len());
-        if !decoded.iter().all(|(key, _, _)| keys.insert(key)) {
-            return Err(SnapshotError::Corrupted("duplicate entry key"));
-        }
-        drop(keys);
-
-        let mut inner = self.inner.lock().expect("no panics under the lock");
-        let to_insert: Vec<_> = decoded
-            .into_iter()
-            .filter(|(key, _, _)| !inner.map.contains_key(key))
-            .collect();
-        // Imported entries rank strictly *older* than every live entry:
-        // a snapshot is history, and a runtime import must never evict
-        // the hot working set in favor of entries that may never be
-        // asked for again. Shifting the live ticks up by the import
-        // count keeps the live order intact and frees 1..=count for the
-        // imported entries (in the snapshot's own LRU order), so
-        // capacity pressure drops stale snapshot entries first.
-        let shift = to_insert.len() as u64;
-        for entry in inner.map.values_mut() {
-            entry.last_used = entry.last_used.saturating_add(shift);
-        }
-        inner.tick = inner.tick.saturating_add(shift);
-        let admitted = to_insert.len();
-        for (age, (key, canon_to_original, report)) in to_insert.into_iter().enumerate() {
-            let bytes = approx_entry_bytes(&report, &canon_to_original);
-            self.counters
-                .approx_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
-            inner.map.insert(
-                key,
-                Entry {
-                    report,
-                    canon_to_original,
-                    approx_bytes: bytes,
-                    last_used: age as u64 + 1,
-                },
-            );
-        }
-        evict_to_capacity(&mut inner, self.capacity, &self.counters);
-        self.counters
-            .entries
-            .store(inner.map.len(), Ordering::Relaxed);
-        Ok(admitted)
-    }
-
     /// Cumulative counters, the current entry count, and the entries'
     /// approximate byte footprint.
     ///
@@ -948,7 +777,7 @@ impl std::fmt::Debug for SolveCache {
 
 /// Evicts least-recently-used entries until at most `capacity` remain,
 /// releasing their bytes and counting each eviction — the one eviction
-/// policy, shared by live inserts and snapshot imports.
+/// policy, shared by live inserts and journal replay.
 fn evict_to_capacity(inner: &mut Inner, capacity: usize, counters: &CacheCounters) {
     while inner.map.len() > capacity {
         let stalest = inner
@@ -967,8 +796,7 @@ fn evict_to_capacity(inner: &mut Inner, capacity: usize, counters: &CacheCounter
 
 /// Checks a decoded entry's correspondence table against its key's
 /// skeleton: it must be a permutation of the canonical labels, because
-/// lookups index through it unchecked. Shared by the snapshot import and
-/// the journal replay admission.
+/// lookups index through it unchecked.
 fn correspondence_defect(key: &CacheKey, canon_to_original: &[usize]) -> Option<&'static str> {
     let n = key.skeleton.num_qubits();
     if canon_to_original.len() != n {
@@ -1201,15 +1029,23 @@ mod tests {
         assert!(cache.lookup("naive", &calibrated).is_none());
     }
 
+    /// Replays `cache`'s compacted journal image — what a graceful
+    /// shutdown leaves on disk — into `target`, returning the admissions.
+    fn replay_into(target: &SolveCache, cache: &SolveCache) -> usize {
+        let bytes = crate::journal::compacted(cache);
+        let replay = crate::journal::replay_journal(target, &bytes).expect("intact header");
+        assert_eq!((replay.rejected, replay.torn), (0, false));
+        replay.admitted
+    }
+
     #[test]
-    fn snapshot_round_trips_entries_and_serves_hits() {
+    fn journal_replay_round_trips_entries_and_serves_hits() {
         let cache = SolveCache::with_capacity(8);
         let request = MapRequest::new(paper_example(), devices::ibm_qx4());
         let solved = solve_and_insert(&cache, &request);
 
-        let bytes = cache.export_snapshot();
         let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&bytes), Ok(1));
+        assert_eq!(replay_into(&warm, &cache), 1);
         let hit = warm.lookup("naive", &request).expect("warm-started entry");
         assert!(hit.served_from_cache);
         assert_eq!(hit.cost, solved.cost);
@@ -1218,12 +1054,12 @@ mod tests {
         assert_eq!(hit.runtime, solved.runtime);
         // Byte accounting matches a live insert's.
         assert_eq!(warm.stats().approx_bytes, cache.stats().approx_bytes);
-        // Importing on top of live entries keeps the live ones.
-        assert_eq!(cache.import_snapshot(&bytes), Ok(0));
+        // Replaying on top of live entries keeps the live ones.
+        assert_eq!(replay_into(&cache, &cache), 0);
     }
 
     #[test]
-    fn snapshot_preserves_the_proved_tier() {
+    fn journal_replay_preserves_the_proved_tier() {
         let cache = SolveCache::with_capacity(8);
         let unbudgeted = MapRequest::new(paper_example(), devices::ibm_qx4());
         let engine = crate::engine::ExactEngine::new();
@@ -1233,7 +1069,7 @@ mod tests {
         assert_eq!(cache.stats().entries, 2, "base entry + proved tier");
 
         let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&cache.export_snapshot()), Ok(2));
+        assert_eq!(replay_into(&warm, &cache), 2);
         // The budget-erased tier still serves every budget class.
         let budgeted = MapRequest::new(paper_example(), devices::ibm_qx4())
             .with_deadline(Duration::from_millis(50));
@@ -1244,10 +1080,10 @@ mod tests {
     }
 
     #[test]
-    fn import_restores_report_sharing_across_tier_entries() {
+    fn replay_restores_report_sharing_across_tier_entries() {
         // Live, a proved solve's base entry and proved-tier entry share
-        // one Arc'd report; the round trip must restore that sharing,
-        // not double the report heap on every warm start.
+        // one Arc'd report; replay must restore that sharing, not double
+        // the report heap on every warm start.
         let cache = SolveCache::with_capacity(8);
         let request = MapRequest::new(paper_example(), devices::ibm_qx4());
         let engine = crate::engine::ExactEngine::new();
@@ -1255,18 +1091,19 @@ mod tests {
         cache.insert(&engine.cache_signature(), &request, &proved);
 
         let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&cache.export_snapshot()), Ok(2));
+        assert_eq!(replay_into(&warm, &cache), 2);
+        assert_eq!(warm.stats().approx_bytes, cache.stats().approx_bytes);
         let inner = warm.inner.lock().expect("no panics under the lock");
         let reports: Vec<&Arc<MapReport>> = inner.map.values().map(|e| &e.report).collect();
         assert_eq!(reports.len(), 2);
         assert!(
             Arc::ptr_eq(reports[0], reports[1]),
-            "tier entries lost their shared report on import"
+            "tier entries lost their shared report on replay"
         );
     }
 
     #[test]
-    fn snapshot_import_respects_capacity_keeping_the_freshest() {
+    fn capacity_limited_replay_keeps_the_freshest() {
         let cache = SolveCache::with_capacity(8);
         let cm = devices::ibm_qx4();
         let requests: Vec<MapRequest> = (2..=5)
@@ -1281,144 +1118,17 @@ mod tests {
         for r in &requests {
             solve_and_insert(&cache, r);
         }
-        let bytes = cache.export_snapshot();
         let tiny = SolveCache::with_capacity(2);
-        assert_eq!(tiny.import_snapshot(&bytes), Ok(4));
+        assert_eq!(replay_into(&tiny, &cache), 4);
         let stats = tiny.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 2);
+        assert!(stats.approx_bytes > 0);
+        assert!(stats.approx_bytes < cache.stats().approx_bytes);
         // The most recently used entries survive, like live LRU would.
         assert!(tiny.lookup("naive", &requests[3]).is_some());
         assert!(tiny.lookup("naive", &requests[2]).is_some());
         assert!(tiny.lookup("naive", &requests[0]).is_none());
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption_version_bumps_and_truncation() {
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        solve_and_insert(&cache, &request);
-        let bytes = cache.export_snapshot();
-
-        let fresh = || SolveCache::with_capacity(8);
-        // Not a snapshot at all.
-        assert_eq!(
-            fresh().import_snapshot(b"definitely not a snapshot"),
-            Err(SnapshotError::BadMagic)
-        );
-        // A version bump is a clean rejection, not a misread.
-        let mut bumped = bytes.clone();
-        bumped[MAGIC.len()] = bumped[MAGIC.len()].wrapping_add(1);
-        assert_eq!(
-            fresh().import_snapshot(&bumped),
-            Err(SnapshotError::VersionMismatch {
-                found: SNAPSHOT_VERSION + 1,
-                supported: SNAPSHOT_VERSION,
-            })
-        );
-        // Truncations anywhere reject the whole file with no entries
-        // admitted.
-        for cut in [3, MAGIC.len() + 2, bytes.len() / 2, bytes.len() - 1] {
-            let target = fresh();
-            assert!(target.import_snapshot(&bytes[..cut]).is_err(), "cut {cut}");
-            assert_eq!(target.stats().entries, 0, "cut {cut}");
-        }
-        // A flipped content byte fails the checksum.
-        let mut corrupted = bytes.clone();
-        let mid = corrupted.len() / 2;
-        corrupted[mid] ^= 0x40;
-        assert_eq!(
-            fresh().import_snapshot(&corrupted),
-            Err(SnapshotError::ChecksumMismatch)
-        );
-        // The pristine bytes still import after all those rejections.
-        assert_eq!(fresh().import_snapshot(&bytes), Ok(1));
-    }
-
-    #[test]
-    fn runtime_import_never_evicts_the_live_working_set() {
-        let cm = devices::ibm_qx4();
-        let chain_request = |n: usize| {
-            let mut c = Circuit::new(n);
-            for q in 0..n - 1 {
-                c.cx(q, q + 1);
-            }
-            MapRequest::new(c, cm.clone())
-        };
-        // A donor cache with two entries (chains 3 and 4; 4 is fresher).
-        let donor = SolveCache::with_capacity(8);
-        solve_and_insert(&donor, &chain_request(3));
-        solve_and_insert(&donor, &chain_request(4));
-        let bytes = donor.export_snapshot();
-
-        // A live cache at capacity 2 holding one *hot* entry. Importing
-        // two snapshot entries overflows by one — the eviction must land
-        // on the snapshot's stalest entry, never on the live one.
-        let live = SolveCache::with_capacity(2);
-        let hot = chain_request(2);
-        solve_and_insert(&live, &hot);
-        assert_eq!(live.import_snapshot(&bytes), Ok(2));
-        let stats = live.stats();
-        assert_eq!((stats.entries, stats.evictions), (2, 1));
-        assert!(
-            live.lookup("naive", &hot).is_some(),
-            "a runtime import evicted the live working set"
-        );
-        assert!(live.lookup("naive", &chain_request(4)).is_some());
-        assert!(live.lookup("naive", &chain_request(3)).is_none());
-    }
-
-    #[test]
-    fn snapshot_header_peek_and_hostile_counts() {
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        solve_and_insert(&cache, &request);
-        let bytes = cache.export_snapshot();
-        assert_eq!(crate::snapshot::snapshot_entry_count(&bytes), Some(1));
-        assert_eq!(crate::snapshot::snapshot_entry_count(b"junk"), None);
-
-        // A checksum-valid stream repeating one key is corrupt, not a
-        // replacement: silently keeping the second copy would also leak
-        // the first copy's byte accounting.
-        {
-            let body_start = MAGIC.len() + 4 + 8;
-            let entry = &bytes[body_start..bytes.len() - 8];
-            let mut w = crate::snapshot::Writer::new();
-            w.raw(MAGIC);
-            w.u32(SNAPSHOT_VERSION);
-            w.u64(2);
-            w.raw(entry);
-            w.raw(entry);
-            let sum = crate::snapshot::checksum(w.bytes());
-            w.u64(sum);
-            let doubled = w.into_bytes();
-            let target = SolveCache::with_capacity(8);
-            assert_eq!(
-                target.import_snapshot(&doubled),
-                Err(SnapshotError::Corrupted("duplicate entry key"))
-            );
-            assert_eq!(target.stats().entries, 0);
-        }
-
-        // Sealed-but-lying headers: a checksum-valid stream whose
-        // declared count exceeds what the body can hold must reject
-        // cleanly — whether the count outruns the byte budget entirely
-        // (the length guard) or merely the decodable entries (the
-        // capped preallocation keeps the count from ever becoming a
-        // giant allocation).
-        for declared in [1_000_000u64, 1024] {
-            let mut w = crate::snapshot::Writer::new();
-            w.raw(MAGIC);
-            w.u32(SNAPSHOT_VERSION);
-            w.u64(declared);
-            w.raw(&[0u8; 1024]);
-            let sum = crate::snapshot::checksum(w.bytes());
-            w.u64(sum);
-            let hostile = w.into_bytes();
-            let target = SolveCache::with_capacity(8);
-            assert!(target.import_snapshot(&hostile).is_err(), "{declared}");
-            assert_eq!(target.stats().entries, 0);
-        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The crash-safe cache journal.
+//! The crash-safe cache journal — the solve cache's one persistence
+//! format.
 //!
-//! [`crate::SolveCache::export_snapshot`] persists the warm working set,
-//! but only when somebody *asks* — a daemon that dies by `kill -9` (or a
-//! panic, or an OOM kill) between snapshots throws away every solve since
-//! the last one. The journal closes that gap: an append-only file of
-//! checksummed cache entries, written by a background thread off the
-//! response path, so a crash loses at most the records still sitting in
-//! the writer's queue.
+//! An append-only file of checksummed cache entries, written by a
+//! background thread off the response path, so a crash (`kill -9`, a
+//! panic, an OOM kill) loses at most the records still sitting in the
+//! writer's queue. A graceful [`Journal::finish`] compacts the file to
+//! the live cache, least-recently-used first, so the next boot replays
+//! exactly the working set the exiting process held.
 //!
 //! ## File format
 //!
@@ -15,33 +15,38 @@
 //! [u32 len] [u64 checksum] [payload: len bytes]  — record, repeated
 //! ```
 //!
-//! The payload reuses the QXSNAPSH entry encoding verbatim — cache key,
-//! canonical-to-original correspondence, report — so the journal and the
-//! snapshot can never drift apart structurally; the checksum is the same
-//! FNV-1a the snapshot trailer uses, but sealed *per record*.
+//! The payload is one cache entry — cache key, canonical-to-original
+//! correspondence, report — in the record codec of `snapshot.rs`; the
+//! checksum is FNV-1a over the payload. [`JOURNAL_VERSION`] is the one
+//! version to bump on any change to that encoding.
 //!
 //! ## Replay semantics
 //!
-//! Unlike a snapshot import (all-or-nothing: one flipped bit rejects the
-//! whole file), journal replay is per-record: a record whose checksum or
-//! decode fails is skipped and counted in [`JournalReplay::rejected`],
-//! and replay continues at the next record. A record whose *length* runs
-//! past the end of the file is the torn tail an interrupted append
-//! leaves behind — replay stops there, flags [`JournalReplay::torn`],
-//! and [`JournalReplay::bytes_consumed`] marks the last byte of intact
+//! Replay is per-record: a record whose checksum or decode fails is
+//! skipped and counted in [`JournalReplay::rejected`], and replay
+//! continues at the next record. A record whose *length* runs past the
+//! end of the file is the torn tail an interrupted append leaves behind
+//! — replay stops there, flags [`JournalReplay::torn`], and
+//! [`JournalReplay::bytes_consumed`] marks the last byte of intact
 //! data. That offset is also the tail-following cursor: a warm-sharing
 //! replica re-reads the file from its previous `bytes_consumed`, feeds
 //! the new bytes to [`replay_records`], and admits whatever complete
-//! records have landed since.
+//! records have landed since. Such a replica only reads: a journal has
+//! exactly one writer, because [`Journal::attach`] truncates a torn
+//! tail and compaction renames a new file over the path, either of
+//! which would lose a second writer's records. Records carrying byte-identical reports
+//! (a proved solve's base entry and its proved-tier entry) share one
+//! decoded report, as they do in the live cache.
 //!
 //! ## Compaction
 //!
 //! An append-only file grows without bound while the cache it shadows is
-//! a bounded LRU. After every `compact_after` appended records the
-//! writer thread rewrites the journal from the cache's current contents
-//! (write-temp-then-rename, so a crash mid-compaction leaves the old
-//! file intact) and resumes appending.
+//! a bounded LRU. After every `compact_after` appended records, and once
+//! more at graceful shutdown, the writer thread rewrites the journal
+//! from the cache's current contents (write-temp-then-rename, so a crash
+//! mid-compaction leaves the old file intact) and resumes appending.
 
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -90,7 +95,8 @@ pub struct JournalReplay {
 pub struct JournalStats {
     /// Records appended (and flushed) since attach.
     pub appended: u64,
-    /// Snapshot compactions of the journal file since attach.
+    /// Compactions of the journal file since attach, counting the one
+    /// at graceful shutdown.
     pub compactions: u64,
     /// Filesystem errors the writer hit; after the first, the journal
     /// stops writing (the error also surfaces via [`Journal::finish`]).
@@ -113,7 +119,8 @@ pub(crate) enum Event {
         canon_to_original: Vec<usize>,
         report: Arc<MapReport>,
     },
-    /// Drain what is queued, then exit the writer thread.
+    /// Drain what is queued, compact the file, then exit the writer
+    /// thread.
     Shutdown,
 }
 
@@ -209,8 +216,9 @@ impl Journal {
         }
     }
 
-    /// Detaches the cache, drains every queued record to disk, joins the
-    /// writer thread and surfaces any write error it hit.
+    /// Detaches the cache, drains every queued record to disk, compacts
+    /// the file to the live cache (unless a write already failed), joins
+    /// the writer thread and surfaces any write error it hit.
     ///
     /// # Errors
     ///
@@ -245,12 +253,29 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-/// The writer thread: append (and flush) one record per event, compact
-/// after every `compact_after` appends, and keep draining — but stop
-/// writing — after the first filesystem error, which is reported through
-/// [`Journal::finish`].
+/// The writer thread: [`write_events`] until shutdown, or until its
+/// first filesystem error. The error ends the thread, so the journal
+/// stops writing (later sends to the dropped queue fail silently), and
+/// it is reported through [`Journal::finish`].
 fn writer_loop(
     cache: &'static SolveCache,
+    file: File,
+    path: &Path,
+    compact_after: usize,
+    rx: &mpsc::Receiver<Event>,
+    stats: &StatsCells,
+) -> io::Result<()> {
+    let written = write_events(cache, file, path, compact_after, rx, stats);
+    if written.is_err() {
+        stats.write_errors.fetch_add(1, Ordering::Relaxed);
+    }
+    written
+}
+
+/// Appends (and flushes) one record per entry event, compacts after
+/// every `compact_after` appends, and compacts once more on shutdown.
+fn write_events(
+    cache: &SolveCache,
     mut file: File,
     path: &Path,
     compact_after: usize,
@@ -259,7 +284,6 @@ fn writer_loop(
 ) -> io::Result<()> {
     let compact_after = compact_after.max(1);
     let mut since_compact = 0usize;
-    let mut failed: Option<io::Error> = None;
     while let Ok(event) = rx.recv() {
         let Event::Entry {
             key,
@@ -267,52 +291,44 @@ fn writer_loop(
             report,
         } = event
         else {
+            // Graceful shutdown: the file becomes the live cache, LRU
+            // first, so the next boot replays exactly this working set.
+            compact(cache, path)?;
+            stats.compactions.fetch_add(1, Ordering::Relaxed);
             break;
         };
-        if failed.is_some() {
-            continue;
-        }
-        let record = encode_record(&key, &canon_to_original, &report);
         // write_all + flush per record: once the write returns, the
         // record is in the OS page cache and survives a `kill -9` of
-        // this process (machine-level durability is the snapshot's job).
-        if let Err(e) = file.write_all(&record).and_then(|()| file.flush()) {
-            stats.write_errors.fetch_add(1, Ordering::Relaxed);
-            failed = Some(e);
-            continue;
-        }
+        // this process. Nothing here fsyncs, so a machine crash can
+        // still lose what the OS had not yet written back.
+        file.write_all(&encode_record(&key, &canon_to_original, &report))?;
+        file.flush()?;
         stats.appended.fetch_add(1, Ordering::Relaxed);
         since_compact += 1;
         if since_compact >= compact_after {
-            match compact(cache, path) {
-                Ok(compacted) => {
-                    file = compacted;
-                    since_compact = 0;
-                    stats.compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    stats.write_errors.fetch_add(1, Ordering::Relaxed);
-                    failed = Some(e);
-                }
-            }
+            file = compact(cache, path)?;
+            since_compact = 0;
+            stats.compactions.fetch_add(1, Ordering::Relaxed);
         }
     }
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
-/// Rewrites the journal as a header plus one record per *current* cache
-/// entry (temp-then-rename, crash-safe), returning the reopened
-/// append handle.
-fn compact(cache: &SolveCache, path: &Path) -> io::Result<File> {
+/// The compacted journal image of `cache`: a header plus one record per
+/// *current* entry, least-recently-used first.
+pub(crate) fn compacted(cache: &SolveCache) -> Vec<u8> {
     let mut buf = header_bytes();
     for (key, canon_to_original, report, _) in cache.export_entries() {
         buf.extend_from_slice(&encode_record(&key, &canon_to_original, &report));
     }
+    buf
+}
+
+/// Rewrites the journal as its [`compacted`] image (temp-then-rename,
+/// crash-safe), returning the reopened append handle.
+fn compact(cache: &SolveCache, path: &Path) -> io::Result<File> {
     let tmp = path.with_extension(format!("compact.{}", std::process::id()));
-    fs::write(&tmp, &buf)?;
+    fs::write(&tmp, compacted(cache))?;
     fs::rename(&tmp, path)?;
     OpenOptions::new().append(true).open(path)
 }
@@ -324,8 +340,8 @@ fn header_bytes() -> Vec<u8> {
     buf
 }
 
-/// One journal record: length-prefixed QXSNAPSH entry payload sealed by
-/// a per-record FNV-1a checksum.
+/// One journal record: a length-prefixed entry payload sealed by a
+/// per-record FNV-1a checksum.
 fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport) -> Vec<u8> {
     let mut w = Writer::new();
     key.write(&mut w);
@@ -355,7 +371,8 @@ fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport
 /// reported through the returned [`JournalReplay`].
 pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay, SnapshotError> {
     if bytes.len() < HEADER_LEN as usize {
-        return Err(if JOURNAL_MAGIC.starts_with(bytes) {
+        let magic = &bytes[..bytes.len().min(JOURNAL_MAGIC.len())];
+        return Err(if JOURNAL_MAGIC.starts_with(magic) {
             SnapshotError::Truncated
         } else {
             SnapshotError::BadMagic
@@ -382,6 +399,11 @@ pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay,
 /// [`JournalReplay::bytes_consumed`] to its cursor.
 pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
     let mut replay = JournalReplay::default();
+    // Records that encode the same report bytes (a proved solve's base
+    // entry and proved-tier entry share one `Arc` live) get one shared
+    // `Arc` back, so a warm start costs the report heap the exiting
+    // process paid — not double.
+    let mut shared_reports: HashMap<&[u8], Arc<MapReport>> = HashMap::new();
     let mut at = 0usize;
     while at < bytes.len() {
         // A record is [u32 len][u64 checksum][payload]; anything that
@@ -404,13 +426,14 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
             replay.rejected += 1;
             continue;
         }
-        match decode_payload(payload) {
+        match decode_payload(payload, &mut shared_reports) {
             Ok((key, canon_to_original, report)) => {
-                match cache.admit_decoded(key, canon_to_original, Arc::new(report)) {
+                match cache.admit_decoded(key, canon_to_original, report) {
                     Ok(true) => replay.admitted += 1,
-                    // The key is already live (snapshot import beat us,
-                    // or a compacted record repeats an append): the live
-                    // entry wins, and the record is neither new nor bad.
+                    // The key is already live (a compacted record
+                    // repeats an append, or a replica admitted it
+                    // first): the live entry wins, and the record is
+                    // neither new nor bad.
                     Ok(false) => {}
                     Err(_) => replay.rejected += 1,
                 }
@@ -422,15 +445,25 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
 }
 
 /// Decodes one record payload: key, correspondence, report — rejecting
-/// trailing bytes (a checksummed payload is exactly one entry).
-fn decode_payload(payload: &[u8]) -> Result<(CacheKey, Vec<usize>, MapReport), SnapshotError> {
+/// trailing bytes (a checksummed payload is exactly one entry). A report
+/// whose bytes match one already in `shared_reports` reuses that `Arc`
+/// without decoding again.
+fn decode_payload<'a>(
+    payload: &'a [u8],
+    shared_reports: &mut HashMap<&'a [u8], Arc<MapReport>>,
+) -> Result<(CacheKey, Vec<usize>, Arc<MapReport>), SnapshotError> {
     let mut r = Reader::new(payload);
     let key = CacheKey::read(&mut r)?;
     let canon_to_original = r.usizes()?;
-    let report = snapshot::read_report(&mut r)?;
+    let report_bytes = &payload[r.position()..];
+    if let Some(report) = shared_reports.get(report_bytes) {
+        return Ok((key, canon_to_original, Arc::clone(report)));
+    }
+    let report = Arc::new(snapshot::read_report(&mut r)?);
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupted("trailing bytes after record"));
     }
+    shared_reports.insert(report_bytes, Arc::clone(&report));
     Ok((key, canon_to_original, report))
 }
 
@@ -562,8 +595,8 @@ mod tests {
         }
         journal.finish().unwrap();
 
-        // Flip one payload byte in the middle record: unlike a snapshot
-        // import, the damage stays contained — records 1 and 3 admit.
+        // Flip one payload byte in the middle record: the damage stays
+        // contained — records 1 and 3 admit.
         let mut bytes = fs::read(&path).unwrap();
         let spans = record_spans(&bytes);
         assert_eq!(spans.len(), 3);
@@ -606,6 +639,84 @@ mod tests {
             "evicted, so compacted away"
         );
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn graceful_finish_compacts_to_the_live_entries() {
+        let path = temp("finish-compacts");
+        let _ = fs::remove_file(&path);
+        // Capacity 2 and no periodic compaction: five appends land in
+        // the file, three of them for entries the LRU has since evicted.
+        let source = leaked(2);
+        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        for seed in 0..5 {
+            insert_seeded(source, seed);
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while journal.stats().appended < 5 {
+            assert!(std::time::Instant::now() < deadline, "appends never landed");
+            thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(record_spans(&fs::read(&path).unwrap()).len(), 5);
+        journal.finish().unwrap();
+
+        // The graceful exit leaves exactly the live cache, LRU first.
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes, compacted(source));
+        assert_eq!(record_spans(&bytes).len(), 2);
+        let restored = leaked(8);
+        let replay = replay_journal(restored, &bytes).unwrap();
+        assert_eq!(
+            (replay.admitted, replay.rejected, replay.torn),
+            (2, 0, false)
+        );
+        assert!(lookup_seeded(restored, 3).is_some());
+        assert!(lookup_seeded(restored, 4).is_some());
+        assert!(lookup_seeded(restored, 2).is_none());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_shutdown_compaction_is_reported_not_hung() {
+        let dir = temp("vanishing-dir");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.qxjournal");
+        let source = leaked(8);
+        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        insert_seeded(source, 0);
+        // The compaction's temporary file cannot be created once the
+        // directory is gone: finish must surface that, not hang.
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(journal.finish().is_err());
+    }
+
+    #[test]
+    fn a_sealed_record_with_a_hostile_length_is_rejected_alone() {
+        let source = leaked(8);
+        insert_seeded(source, 0);
+        let intact = compacted(source);
+        // A record whose checksum holds but whose skeleton declares
+        // ~2^63 tokens: the length guard must reject it before any
+        // allocation, and replay must go on to the intact record.
+        let mut w = Writer::new();
+        w.str("naive");
+        w.usize(4);
+        w.usize(0);
+        w.u64(u64::MAX / 2);
+        w.raw(&[0u8; 1024]);
+        let payload = w.into_bytes();
+        let mut bytes = header_bytes();
+        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&snapshot::checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&intact[HEADER_LEN as usize..]);
+        let restored = leaked(8);
+        let replay = replay_journal(restored, &bytes).unwrap();
+        assert_eq!(
+            (replay.admitted, replay.rejected, replay.torn),
+            (1, 1, false)
+        );
+        assert!(lookup_seeded(restored, 0).is_some());
     }
 
     #[test]

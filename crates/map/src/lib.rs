@@ -84,7 +84,7 @@ pub use journal::{
 pub use portfolio::Portfolio;
 pub use report::{CostBreakdown, MapReport, WindowCertificate};
 pub use request::{Guarantee, MapRequest};
-pub use snapshot::{snapshot_entry_count, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::SnapshotError;
 
 /// Maps one request with the default [`Portfolio`] engine, answered from
 /// the process-wide [`SolveCache`] when the same request (or a

@@ -1,29 +1,22 @@
-//! The versioned on-disk snapshot format behind
-//! [`crate::SolveCache::export_snapshot`] /
-//! [`crate::SolveCache::import_snapshot`].
+//! The journal record codec: the entry encoding behind every
+//! [`crate::Journal`] record.
 //!
-//! A snapshot is a self-contained byte stream:
+//! A record payload is one cache entry — key, canonical-to-original
+//! correspondence, stored report — built from the primitive encoders
+//! below ([`Writer`]/[`Reader`]) and the domain codecs for skeletons,
+//! circuits, layouts and reports. The journal frames each payload with
+//! a length and an FNV-1a [`checksum`]; see [`crate::journal`] for the
+//! file layout and replay semantics.
 //!
-//! ```text
-//! magic  "QXSNAPSH"           8 bytes
-//! version u32 LE              bumped on any encoding change
-//! count   u64 LE              number of entries
-//! entries …                   key + stored report, recency order
-//! checksum u64 LE             FNV-1a over everything before it
-//! ```
-//!
-//! Entries are written least-recently-used first, so an importer that
-//! replays them in order reconstructs the exporter's LRU order exactly —
-//! capacity-constrained imports then keep the *freshest* entries, the
-//! same ones the exporter's own eviction policy would have kept.
-//!
-//! The format is an internal persistence layer, not an interchange
-//! format: readers reject unknown versions outright (a version bump is
-//! cheaper than a migration path for a cache that can always be
-//! re-warmed), and the trailing checksum rejects truncated or corrupted
-//! files before a single entry is admitted. All integers are
-//! little-endian; angles travel as IEEE-754 bit patterns, so round-trips
-//! are exact.
+//! The encoding is an internal persistence layer, not an interchange
+//! format. [`crate::JOURNAL_VERSION`] is the one version to bump on any
+//! change to the entry encoding (or to the skeleton token stream it
+//! embeds): replay rejects a file of any other version outright, since
+//! a version bump is cheaper than a migration path for a cache that can
+//! always be re-warmed. All integers are little-endian; angles travel as
+//! IEEE-754 bit patterns, so round-trips are exact. Every length is
+//! checked against the bytes left before anything is allocated, so a
+//! hostile record cannot demand more memory than it occupies.
 
 use std::fmt;
 use std::time::Duration;
@@ -33,20 +26,11 @@ use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind};
 
 use crate::report::{CostBreakdown, MapReport, WindowCertificate};
 
-/// Magic bytes opening every snapshot.
-pub(crate) const MAGIC: &[u8; 8] = b"QXSNAPSH";
-
-/// The snapshot encoding version this build reads and writes. Any change
-/// to the entry encoding (or to the skeleton token stream it embeds)
-/// must bump this, so stale files are rejected cleanly instead of
-/// misread.
-pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// Why a snapshot was rejected. Imports are all-or-nothing: a rejected
-/// snapshot admits no entries.
+/// Why a journal header or record failed to decode. A damaged header
+/// rejects the whole file; a damaged record is skipped on its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The stream does not open with the snapshot magic — not a snapshot
+    /// The stream does not open with the journal magic — not a journal
     /// file at all.
     BadMagic,
     /// The stream was written by a different (newer or older) encoding
@@ -60,8 +44,6 @@ pub enum SnapshotError {
     /// The stream ended before the declared content did — a truncated
     /// write or partial download.
     Truncated,
-    /// The trailing checksum does not match the content.
-    ChecksumMismatch,
     /// The stream decodes to structurally invalid data (an impossible
     /// layout, a non-permutation label vector, an unknown tag …).
     Corrupted(&'static str),
@@ -70,39 +52,20 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a qxmap solve-cache snapshot"),
+            SnapshotError::BadMagic => write!(f, "not a qxmap solve-cache journal"),
             SnapshotError::VersionMismatch { found, supported } => write!(
                 f,
-                "snapshot version {found} is not the supported version {supported}"
+                "journal version {found} is not the supported version {supported}"
             ),
-            SnapshotError::Truncated => write!(f, "snapshot ends before its declared content"),
-            SnapshotError::ChecksumMismatch => {
-                write!(f, "snapshot checksum mismatch (corrupted content)")
-            }
-            SnapshotError::Corrupted(what) => write!(f, "snapshot decodes to invalid data: {what}"),
+            SnapshotError::Truncated => write!(f, "journal ends before its declared content"),
+            SnapshotError::Corrupted(what) => write!(f, "journal decodes to invalid data: {what}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// The entry count a snapshot byte stream declares in its header —
-/// `None` unless the stream opens with this build's magic and
-/// [`SNAPSHOT_VERSION`]. A header peek for logging and tooling
-/// (nothing past the count is validated; importing still performs the
-/// full checksum and structural checks).
-pub fn snapshot_entry_count(bytes: &[u8]) -> Option<usize> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    if r.u32().ok()? != SNAPSHOT_VERSION {
-        return None;
-    }
-    usize::try_from(r.u64().ok()?).ok()
-}
-
-/// FNV-1a over a byte slice — the checksum sealing a snapshot.
+/// FNV-1a over a byte slice — the checksum sealing each journal record.
 pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -127,10 +90,6 @@ impl Writer {
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.buf
     }
 
     pub(crate) fn raw(&mut self, bytes: &[u8]) {
@@ -189,7 +148,7 @@ impl Writer {
     }
 }
 
-/// Cursor over a snapshot's bytes with the matching primitive decoders;
+/// Cursor over a record's bytes with the matching primitive decoders;
 /// every read is bounds-checked and a short stream reads as
 /// [`SnapshotError::Truncated`].
 pub(crate) struct Reader<'a> {

@@ -25,7 +25,7 @@
 //! * `{"type": "metrics"}` — cache statistics, queue state, latency
 //!   counters.
 //! * `{"type": "shutdown"}` — graceful shutdown: queued work finishes,
-//!   the solve cache is snapshotted, the daemon exits.
+//!   the cache journal is compacted, the daemon exits.
 //!
 //! The `device` field is either a name from the topology library
 //! (`"qx4"`, `"ring-6"`, `"heavy-hex-1"`, …) or an object
@@ -785,11 +785,11 @@ fn micros(d: Duration) -> Json {
     Json::num(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
 }
 
-/// Renders a [`SolveTrace`] as the wire `trace` object: its own
-/// `elapsed_us` (measured from the trace origin — line receipt for
-/// server-side traces, so it covers ingest and queue wait on top of the
-/// report's solve-only `elapsed_us`) plus every closed span in start
-/// order.
+/// Renders a [`qxmap_core::trace::SolveTrace`] as the wire `trace`
+/// object: its own `elapsed_us` (measured from the trace origin — line
+/// receipt for server-side traces, so it covers ingest and queue wait on
+/// top of the report's solve-only `elapsed_us`) plus every closed span
+/// in start order.
 pub fn trace_json(trace: &qxmap_core::trace::SolveTrace) -> Json {
     let spans = trace
         .spans

@@ -1,7 +1,7 @@
 //! The server core: a deadline-aware admission queue feeding a fixed
 //! worker pool, pipelined connections, explicit overload and deadline
 //! shedding, graceful shutdown, metrics, and crash-safe solve-cache
-//! persistence (snapshot plus append-only journal).
+//! persistence (an append-only journal).
 //!
 //! ## Request lifecycle
 //!
@@ -43,28 +43,27 @@
 //!
 //! A `shutdown` request (or stdin EOF in stdio mode) begins a graceful
 //! wind-down: admission closes (`shutting_down` rejections), workers
-//! drain every already-admitted job, and [`Server::finish`] snapshots
-//! the solve cache to the configured path — so the next boot (or a
-//! replica seeded from the same file) starts warm and answers repeated
-//! requests in microseconds. Snapshots are written to a temporary file
-//! and renamed into place, so a crash mid-write never corrupts the
-//! previous good snapshot; corrupted or version-mismatched snapshots
-//! are rejected at boot and the daemon starts cold.
+//! drain every already-admitted job, and [`Server::finish`] drains the
+//! cache journal and compacts it to the live solve cache.
 //!
-//! Snapshots only cover *graceful* exits. With a journal configured
-//! ([`ServerConfig::journal`]), every solve admitted to the
-//! process-wide cache is also appended to a crash-safe
-//! [`qxmap_map::Journal`] by a background thread off the response path:
-//! a `kill -9` loses at most the unsynced tail of the file, and the
-//! next boot replays it record by record — rejecting torn or corrupt
-//! records individually, keeping everything intact — on top of whatever
-//! the snapshot recovered. A replica may warm-share by tail-following
-//! the same file with [`qxmap_map::replay_records`].
+//! With a journal configured ([`ServerConfig::journal`]), every solve
+//! admitted to the process-wide cache is appended to a crash-safe
+//! [`qxmap_map::Journal`] by a background thread off the response path,
+//! so a `kill -9` loses at most the unsynced tail of the file. Boot
+//! replays it record by record — rejecting torn or corrupt records
+//! individually, keeping everything intact — so a restarted daemon (or
+//! a replica seeded from a copy of the file) starts warm and answers
+//! repeated requests in microseconds. Compaction writes a temporary
+//! file and renames it into place, so a crash mid-compaction never
+//! damages the previous file. A journal has exactly one writer: two
+//! daemons must not share a journal path. A replica may instead
+//! warm-share by tail-following the file read-only with
+//! [`qxmap_map::replay_records`].
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -96,14 +95,12 @@ pub struct ServerConfig {
     /// once; at the cap the connection's reader stops consuming input
     /// (TCP backpressure). Defaults to 32.
     pub pipeline_depth: usize,
-    /// Snapshot file for warm starts: imported by
-    /// [`Server::warm_start`], written by [`Server::finish`].
-    pub snapshot: Option<PathBuf>,
     /// Append-only cache journal for crash-safe warm state: replayed and
-    /// attached by [`Server::warm_start`], drained by [`Server::finish`].
+    /// attached by [`Server::warm_start`], drained and compacted by
+    /// [`Server::finish`].
     pub journal: Option<PathBuf>,
-    /// Journal records appended between snapshot compactions of the
-    /// journal file. Defaults to 1024.
+    /// Journal records appended between compactions of the journal
+    /// file. Defaults to 1024.
     pub journal_compact_after: usize,
     /// Entries kept in the slow-request ring — the N slowest completed
     /// solves, with their traces when the request carried
@@ -124,7 +121,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             batch_max: 8,
             pipeline_depth: 32,
-            snapshot: None,
             journal: None,
             journal_compact_after: 1024,
             slowlog_capacity: 8,
@@ -157,8 +153,6 @@ impl Handled {
 /// What [`Server::warm_start`] recovered before serving.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WarmStart {
-    /// Entries admitted from the snapshot file.
-    pub snapshot_entries: usize,
     /// Journal replay summary, when a journal is configured.
     pub journal: Option<JournalReplay>,
 }
@@ -513,8 +507,8 @@ struct Outgoing {
     then_shutdown: bool,
 }
 
-/// The mapping daemon: admission queue, worker pool, metrics, snapshot
-/// and journal persistence. Construct with [`Server::start`], feed it
+/// The mapping daemon: admission queue, worker pool, metrics and
+/// journal persistence. Construct with [`Server::start`], feed it
 /// request lines with [`Server::handle_line`] (or let
 /// [`Server::serve_tcp`] / [`Server::serve_stdio`] do it), and call
 /// [`Server::finish`] to drain and persist on the way out.
@@ -1477,16 +1471,14 @@ impl Server {
     }
 
     /// Drains the pool (joining every worker — every admitted job is
-    /// answered first), drains and detaches the cache journal, and
-    /// snapshots the solve cache to the configured path. Returns the
-    /// number of entries persisted, `None` when no snapshot path is
-    /// configured.
+    /// answered first), then drains, compacts and detaches the cache
+    /// journal, so the file holds exactly the live solve cache.
     ///
     /// # Errors
     ///
-    /// Propagates journal- and snapshot-write I/O errors; the drain
-    /// itself cannot fail.
-    pub fn finish(&self) -> io::Result<Option<usize>> {
+    /// Propagates journal-write I/O errors; the drain itself cannot
+    /// fail.
+    pub fn finish(&self) -> io::Result<()> {
         self.begin_shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().expect("no panics under the lock"));
         for worker in workers {
@@ -1520,31 +1512,24 @@ impl Server {
         {
             let _ = log.flush();
         }
-        match &self.config.snapshot {
-            None => Ok(None),
-            Some(path) => save_snapshot(path).map(Some),
-        }
+        Ok(())
     }
 
-    /// Recovers warm state into the process-wide [`SolveCache`]: the
-    /// configured snapshot first, then the configured journal — which
-    /// is replayed record by record (torn or corrupt records rejected
-    /// individually) and left attached, so every solve from here on is
-    /// journaled by a background thread until [`Server::finish`]. A
-    /// missing file is a cold start; a rejected snapshot (corrupted,
-    /// truncated, version-mismatched) is reported as the error string
-    /// and the cache is left untouched — the daemon should log it and
-    /// start cold rather than refuse to boot.
+    /// Recovers warm state into the process-wide [`SolveCache`] from the
+    /// configured journal, which is replayed record by record (torn or
+    /// corrupt records rejected individually) and left attached, so
+    /// every solve from here on is journaled by a background thread
+    /// until [`Server::finish`]. A missing file is a cold start; a file
+    /// with a foreign header or another format version is reset and
+    /// reported through [`JournalReplay::reset`].
     ///
     /// # Errors
     ///
-    /// Returns a description of why the snapshot was rejected or the
-    /// journal could not be attached.
+    /// Returns a description of why the journal could not be attached;
+    /// the daemon should log it and start cold rather than refuse to
+    /// boot.
     pub fn warm_start(&self) -> Result<WarmStart, String> {
         let mut warm = WarmStart::default();
-        if let Some(path) = &self.config.snapshot {
-            warm.snapshot_entries = load_snapshot(path)?;
-        }
         if let Some(path) = &self.config.journal {
             let (journal, replay) = Journal::attach(
                 SolveCache::shared(),
@@ -1574,7 +1559,7 @@ impl Server {
             // Checked every iteration, not only when accept() idles: a
             // stream of reconnecting clients (each now due a
             // shutting_down rejection) must not keep the accept loop —
-            // and with it the shutdown snapshot — alive forever.
+            // and with it the shutdown compaction — alive forever.
             if self.is_shutting_down() {
                 return Ok(());
             }
@@ -1851,45 +1836,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Writes the process-wide cache's snapshot to `path` atomically (temp
-/// file + rename), returning the entry count persisted.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_snapshot(path: &Path) -> io::Result<usize> {
-    let bytes = SolveCache::shared().export_snapshot();
-    // Report what the file actually holds — the cache can move between
-    // any two lock acquisitions, so the count comes from the exported
-    // header, not a separate stats() read.
-    let entries = qxmap_map::snapshot_entry_count(&bytes).unwrap_or(0);
-    // The temp name is per-process: replicas legitimately share one
-    // snapshot path, and concurrent shutdowns must each publish a
-    // complete file (last rename wins) rather than racing on one temp.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(entries)
-}
-
-/// Imports the snapshot at `path` into the process-wide cache. A
-/// missing file is a cold start (`Ok(0)`).
-///
-/// # Errors
-///
-/// Returns a description of the I/O failure or snapshot defect; the
-/// cache is untouched on error.
-pub fn load_snapshot(path: &Path) -> Result<usize, String> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("reading {}: {e}", path.display())),
-    };
-    SolveCache::shared()
-        .import_snapshot(&bytes)
-        .map_err(|e| format!("rejected snapshot {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -2426,9 +2372,16 @@ mod tests {
             journal: Some(path.clone()),
             ..ServerConfig::default()
         };
-        let server = Server::start(journaled.clone());
-        let warm = server.warm_start().unwrap();
-        let replay = warm.journal.expect("journal configured");
+        let boot = || {
+            let server = Server::start(journaled.clone());
+            let replay = server
+                .warm_start()
+                .unwrap()
+                .journal
+                .expect("journal configured");
+            (server, replay)
+        };
+        let (server, replay) = boot();
         assert_eq!(replay.admitted, 0, "fresh journal has nothing to replay");
         // A unique seed forces a real solve — and so a journal append.
         let unique = format!(
@@ -2445,54 +2398,39 @@ mod tests {
         let written = std::fs::metadata(&path).unwrap().len();
         assert!(
             written > 12,
-            "the drained journal holds at least one record"
+            "the compacted journal holds at least one record"
         );
 
         // A second boot replays the journal; every record is already
         // live in this process's shared cache, so none are admitted —
         // and none are rejected either (the file is intact).
-        let second = Server::start(journaled);
-        let warm = second.warm_start().unwrap();
-        let replay = warm.journal.expect("journal configured");
+        let (second, replay) = boot();
         assert_eq!(replay.rejected, 0);
         assert_eq!(replay.admitted, 0, "all records already live in-process");
         assert!(!replay.torn);
         assert!(!replay.reset);
         second.finish().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn snapshot_files_round_trip_and_reject_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "qxmap-serve-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.qxsnap");
-
-        // Populate the process-wide cache with one solved entry.
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let engine = qxmap_map::Portfolio::new();
-        let _ = engine.run_cached(&request).unwrap();
-        let persisted = save_snapshot(&path).unwrap();
-        assert!(persisted >= 1);
-        let imported = load_snapshot(&path).unwrap();
-        // Every persisted key is already live in this process's cache.
-        assert_eq!(imported, 0);
-
-        // Corruption is rejected with a description, not a crash.
+        // A damaged record is rejected on its own at boot, not a crash.
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_snapshot(&path).unwrap_err();
-        assert!(err.contains("rejected snapshot"), "{err}");
+        let (third, replay) = boot();
+        assert_eq!(
+            (replay.rejected, replay.torn, replay.reset),
+            (1, false, false)
+        );
+        third.finish().unwrap();
 
         // A missing file is a cold start.
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(load_snapshot(&path), Ok(0));
+        let (fourth, replay) = boot();
+        assert_eq!(
+            (replay.admitted, replay.rejected, replay.reset),
+            (0, 0, false)
+        );
+        fourth.finish().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

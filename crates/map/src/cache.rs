@@ -19,10 +19,11 @@
 //!   directed edge list *and every per-edge cost* in one stable hash. A
 //!   different coupling graph — or the same graph under a different
 //!   calibration — can change both cost and circuit, so it always misses.
-//! * **Options** — strategy, subset flag, guarantee, declared upper
-//!   bound, and seed: everything else that steers an engine's answer
-//!   (the cost model itself is part of the device fingerprint).
-//! * **Budget class** — the (conflict budget, deadline) pair. Results
+//! * **Options** — the [`SolveOptions`] a request or [`CacheProbe`]
+//!   carries, turned into key fields by one constructor. Strategy,
+//!   subset flag, guarantee, declared upper bound and seed steer the
+//!   answer (the cost model itself is part of the device fingerprint).
+//! * **Budget class** — the options' (conflict budget, deadline) pair. Results
 //!   computed under one budget are only reused for requests with the
 //!   *same* budgets — except proved-optimal results, which are published
 //!   to every budget class of the same key (an optimum is an optimum, no
@@ -51,7 +52,7 @@ use qxmap_circuit::CircuitSkeleton;
 use qxmap_core::Strategy;
 
 use crate::report::MapReport;
-use crate::request::{Guarantee, MapRequest};
+use crate::request::{Guarantee, MapRequest, SolveOptions};
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 
 /// Default capacity of the process-wide [`SolveCache::shared`] instance,
@@ -115,9 +116,13 @@ pub(crate) struct CacheKey {
 }
 
 /// The cache key of `request` under `engine`'s signature — the identity
-/// `map_many` groups duplicates by.
+/// lookups, inserts and `map_many`'s duplicate grouping all use.
 pub(crate) fn request_key(engine: &str, request: &MapRequest) -> CacheKey {
-    CacheKey::of(engine, request, CircuitSkeleton::of(request.circuit()))
+    let skeleton = CircuitSkeleton::of(request.circuit());
+    // The cheap fingerprint path: a cache hit must not pay for the
+    // model's all-pairs matrices it will never use.
+    let device = request.device_fingerprint();
+    CacheKey::new(engine, skeleton, device, request.options())
 }
 
 /// Serves a duplicate request directly from an already-solved sibling:
@@ -164,8 +169,8 @@ pub(crate) fn serve_duplicate(
 /// gate-vector allocation. But the [`SolveCache`] key never looks at the
 /// circuit — only at its [`CircuitSkeleton`], which a single parse pass
 /// can produce directly (`qxmap_qasm::parse_skeleton`). A probe
-/// carries that skeleton plus the same option knobs a request does, with
-/// the same defaults; [`SolveCache::probe`] answers a hit exactly as
+/// carries that skeleton plus the same [`SolveOptions`] a request does;
+/// [`SolveCache::probe`] answers a hit exactly as
 /// [`SolveCache::lookup`] would have for the materialized request, and a
 /// miss falls through to the ordinary solve path bit-for-bit.
 ///
@@ -186,20 +191,13 @@ pub(crate) fn serve_duplicate(
 pub struct CacheProbe {
     skeleton: CircuitSkeleton,
     device_fingerprint: u64,
-    guarantee: Guarantee,
-    strategy: Strategy,
-    use_subsets: bool,
-    conflict_budget: Option<u64>,
-    deadline: Option<Duration>,
-    upper_bound: Option<u64>,
-    seed: u64,
+    options: SolveOptions,
 }
 
 impl CacheProbe {
     /// A probe for `skeleton` against `device` under the defaults of
-    /// [`MapRequest::new`]: the paper's uniform cost model, best-effort
-    /// guarantee, permutations before every gate, subsets on, no
-    /// budgets, seed 0. Every knob has a builder mirroring the request's.
+    /// [`MapRequest::new`]: the paper's uniform cost model and
+    /// [`SolveOptions::default`].
     pub fn new(skeleton: CircuitSkeleton, device: &CouplingMap) -> CacheProbe {
         CacheProbe {
             skeleton,
@@ -207,13 +205,7 @@ impl CacheProbe {
                 device,
                 qxmap_arch::CostModel::default(),
             ),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: SolveOptions::default(),
         }
     }
 
@@ -228,67 +220,22 @@ impl CacheProbe {
         }
     }
 
-    /// Mirrors [`MapRequest::with_guarantee`].
-    pub fn with_guarantee(mut self, guarantee: Guarantee) -> CacheProbe {
-        self.guarantee = guarantee;
+    /// Probes under `options` — the same value a matching request was
+    /// built with ([`MapRequest::with_options`]).
+    pub fn with_options(mut self, options: SolveOptions) -> CacheProbe {
+        self.options = options;
         self
     }
 
-    /// Mirrors [`MapRequest::with_strategy`].
-    pub fn with_strategy(mut self, strategy: Strategy) -> CacheProbe {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_subsets`].
-    pub fn with_subsets(mut self, on: bool) -> CacheProbe {
-        self.use_subsets = on;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_conflict_budget`].
-    pub fn with_conflict_budget(mut self, budget: Option<u64>) -> CacheProbe {
-        self.conflict_budget = budget;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_deadline`].
+    /// Sets the deadline alone, as [`MapRequest::with_deadline`] does.
     pub fn with_deadline(mut self, deadline: Duration) -> CacheProbe {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_upper_bound`].
-    pub fn with_upper_bound(mut self, bound: Option<u64>) -> CacheProbe {
-        self.upper_bound = bound;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_seed`].
-    pub fn with_seed(mut self, seed: u64) -> CacheProbe {
-        self.seed = seed;
+        self.options.deadline = Some(deadline);
         self
     }
 
     /// The probe's skeleton (serve-layer logging and tests).
     pub fn skeleton(&self) -> &CircuitSkeleton {
         &self.skeleton
-    }
-
-    /// The cache key this probe resolves to under `engine` — field for
-    /// field what [`CacheKey::of`] builds from the materialized request.
-    fn key(&self, engine: &str) -> CacheKey {
-        CacheKey {
-            engine: engine.to_string(),
-            skeleton: self.skeleton.clone(),
-            device: self.device_fingerprint,
-            strategy: encode_strategy(&self.strategy),
-            use_subsets: self.use_subsets,
-            optimal_demanded: self.guarantee == Guarantee::Optimal,
-            upper_bound: self.upper_bound,
-            seed: self.seed,
-            budgets: Some((self.conflict_budget, self.deadline)),
-        }
     }
 }
 
@@ -310,19 +257,24 @@ fn encode_strategy(strategy: &Strategy) -> Vec<usize> {
 }
 
 impl CacheKey {
-    fn of(engine: &str, request: &MapRequest, skeleton: CircuitSkeleton) -> CacheKey {
+    /// The one constructor from options: requests and probes both
+    /// resolve their key here, so they cannot drift apart.
+    fn new(
+        engine: &str,
+        skeleton: CircuitSkeleton,
+        device: u64,
+        options: &SolveOptions,
+    ) -> CacheKey {
         CacheKey {
             engine: engine.to_string(),
             skeleton,
-            // The cheap fingerprint path: a cache hit must not pay for
-            // the model's all-pairs matrices it will never use.
-            device: request.device_fingerprint(),
-            strategy: encode_strategy(request.strategy()),
-            use_subsets: request.use_subsets(),
-            optimal_demanded: request.guarantee() == Guarantee::Optimal,
-            upper_bound: request.upper_bound(),
-            seed: request.seed(),
-            budgets: Some((request.conflict_budget(), request.deadline())),
+            device,
+            strategy: encode_strategy(&options.strategy),
+            use_subsets: options.subsets,
+            optimal_demanded: options.guarantee == Guarantee::Optimal,
+            upper_bound: options.upper_bound,
+            seed: options.seed,
+            budgets: Some((options.conflict_budget, options.deadline)),
         }
     }
 
@@ -517,10 +469,7 @@ impl SolveCache {
     /// wall-clock rather than the original solve's.
     pub fn lookup(&self, engine: &str, request: &MapRequest) -> Option<MapReport> {
         let start = Instant::now();
-        let skeleton = CircuitSkeleton::of(request.circuit());
-        let labels: Vec<usize> = skeleton.canonical_labels().to_vec();
-        let key = CacheKey::of(engine, request, skeleton);
-        self.lookup_key(key, &labels, start)
+        self.lookup_key(request_key(engine, request), start)
     }
 
     /// Looks a [`CacheProbe`] up under `engine`'s signature — the
@@ -535,14 +484,16 @@ impl SolveCache {
     /// probes exactly the same key.
     pub fn probe(&self, engine: &str, probe: &CacheProbe) -> Option<MapReport> {
         let start = Instant::now();
-        let labels: Vec<usize> = probe.skeleton.canonical_labels().to_vec();
-        self.lookup_key(probe.key(engine), &labels, start)
+        let skeleton = probe.skeleton.clone();
+        let key = CacheKey::new(engine, skeleton, probe.device_fingerprint, &probe.options);
+        self.lookup_key(key, start)
     }
 
     /// The shared hit path of [`SolveCache::lookup`] and
     /// [`SolveCache::probe`]: proved tier first, then the budget class,
-    /// then layout translation through `labels` outside the lock.
-    fn lookup_key(&self, mut key: CacheKey, labels: &[usize], start: Instant) -> Option<MapReport> {
+    /// then layout translation through the key's skeleton outside the
+    /// lock.
+    fn lookup_key(&self, mut key: CacheKey, start: Instant) -> Option<MapReport> {
         let (stored, canon_to_original) = {
             let mut inner = self.inner.lock().expect("no panics under the lock");
             inner.tick += 1;
@@ -578,6 +529,7 @@ impl SolveCache {
         // equality guarantees the canonical forms agree, so the
         // composition is a permutation).
         let mut report = (*stored).clone();
+        let labels = key.skeleton.canonical_labels();
         let sigma: Vec<usize> = labels.iter().map(|&l| canon_to_original[l]).collect();
         if sigma.iter().enumerate().any(|(q, &s)| q != s) {
             report.initial_layout = remap_layout(&report.initial_layout, &sigma);
@@ -599,13 +551,12 @@ impl SolveCache {
         if report.served_from_cache || report.verify(request.circuit(), request.device()).is_err() {
             return;
         }
-        let skeleton = CircuitSkeleton::of(request.circuit());
+        let key = request_key(engine, request);
         // canonical label -> the solved circuit's qubit.
-        let mut canon_to_original = vec![0usize; skeleton.num_qubits()];
-        for (q, &l) in skeleton.canonical_labels().iter().enumerate() {
+        let mut canon_to_original = vec![0usize; key.skeleton.num_qubits()];
+        for (q, &l) in key.skeleton.canonical_labels().iter().enumerate() {
             canon_to_original[l] = q;
         }
-        let key = CacheKey::of(engine, request, skeleton);
         // A stored report must serve *any* future request with the same
         // key: the solving request's trace timeline is not part of the
         // answer and is never cached.
@@ -1158,29 +1109,31 @@ mod tests {
         let circuit = paper_example();
         let cm = devices::ibm_qx4();
         let skeleton = CircuitSkeleton::of(&circuit);
-        let budgeted = MapRequest::new(circuit.clone(), cm.clone())
-            .with_seed(7)
-            .with_deadline(Duration::from_millis(50));
+        let options = SolveOptions {
+            seed: 7,
+            deadline: Some(Duration::from_millis(50)),
+            ..SolveOptions::default()
+        };
+        let budgeted = MapRequest::new(circuit.clone(), cm.clone()).with_options(options.clone());
         solve_and_insert(&cache, &budgeted);
+        let probe = |cm: &CouplingMap, options: &SolveOptions| {
+            let probe = CacheProbe::new(skeleton.clone(), cm).with_options(options.clone());
+            cache.probe("naive", &probe).is_some()
+        };
         // Matching options hit…
-        let hit = CacheProbe::new(skeleton.clone(), &cm)
-            .with_seed(7)
-            .with_deadline(Duration::from_millis(50));
-        assert!(cache.probe("naive", &hit).is_some());
+        assert!(probe(&cm, &options));
         // …and every mismatched knob misses, exactly like a request.
-        assert!(cache
-            .probe(
-                "naive",
-                &CacheProbe::new(skeleton.clone(), &cm).with_seed(7)
-            )
-            .is_none());
-        let wrong_seed =
-            CacheProbe::new(skeleton.clone(), &cm).with_deadline(Duration::from_millis(50));
-        assert!(cache.probe("naive", &wrong_seed).is_none());
-        let wrong_device = CacheProbe::new(skeleton, &devices::ibm_qx2())
-            .with_seed(7)
-            .with_deadline(Duration::from_millis(50));
-        assert!(cache.probe("naive", &wrong_device).is_none());
+        let wrong_budget = SolveOptions {
+            deadline: None,
+            ..options.clone()
+        };
+        assert!(!probe(&cm, &wrong_budget));
+        let wrong_seed = SolveOptions {
+            seed: 0,
+            ..options.clone()
+        };
+        assert!(!probe(&cm, &wrong_seed));
+        assert!(!probe(&devices::ibm_qx2(), &options));
     }
 
     #[test]

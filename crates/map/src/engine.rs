@@ -121,10 +121,11 @@ impl ExactEngine {
         // No `.with_cost_model(...)`: the mapper is built via
         // `ExactMapper::for_model`, where the request's device model is
         // the cost authority and the config's cost model is ignored.
+        let options = request.options();
         MapperConfig::minimal()
-            .with_strategy(request.strategy().clone())
-            .with_subsets(request.use_subsets() && n < m)
-            .with_deadline(request.deadline())
+            .with_strategy(options.strategy.clone())
+            .with_subsets(options.subsets && n < m)
+            .with_deadline(options.deadline)
             .with_control(self.control.clone().unwrap_or_default())
             // Core's per-subset encode/minimize spans nest under this
             // engine's own span ("exact/subset0/encode", or
@@ -132,10 +133,10 @@ impl ExactEngine {
             .with_trace(request.trace().scoped("exact"))
             .with_minimize(
                 MinimizeOptions::default()
-                    .with_conflict_budget(request.conflict_budget())
+                    .with_conflict_budget(options.conflict_budget)
                     // The bound is priced under the same device model as
                     // the objective weights the mapper will read.
-                    .with_initial_upper_bound(request.upper_bound()),
+                    .with_initial_upper_bound(options.upper_bound),
             )
     }
 
@@ -174,7 +175,7 @@ impl Engine for ExactEngine {
         let trace = request.trace();
         let mut span = trace.span(self.name());
         let result = self.mapper_for(request).map(request.circuit())?;
-        if request.guarantee() == Guarantee::Optimal && !result.proved_optimal {
+        if request.options().guarantee == Guarantee::Optimal && !result.proved_optimal {
             return Err(MapperError::proof_budget_exhausted());
         }
         span.counter("iterations", u64::from(result.iterations));
@@ -277,7 +278,7 @@ impl HeuristicEngine {
         let result = match self.baseline {
             Baseline::Naive => NaiveMapper::new().map_model(circuit, model)?,
             Baseline::AStar => {
-                let mut mapper = AStarMapper::new().with_deadline(request.deadline());
+                let mut mapper = AStarMapper::new().with_deadline(request.options().deadline);
                 if let Some(cancel) = cancel {
                     mapper = mapper.with_stop(cancel);
                 }
@@ -289,7 +290,7 @@ impl HeuristicEngine {
                 // the cache key, so cacheability is unaffected.
                 let mut mapper = SabreMapper::new()
                     .with_scaled_lookahead(model)
-                    .with_deadline(request.deadline());
+                    .with_deadline(request.options().deadline);
                 if let Some(cancel) = cancel {
                     mapper = mapper.with_stop(cancel);
                 }
@@ -306,13 +307,13 @@ impl HeuristicEngine {
         span.end();
         let mut report = MapReport::from_heuristic(result, self.name());
         report.trace = trace.finish();
-        if let Some(bound) = request.upper_bound() {
+        if let Some(bound) = request.options().upper_bound {
             // The declared bound is a hard ceiling for every engine.
             if report.cost.objective >= bound {
                 return Err(MapperError::BoundUnmet { bound });
             }
         }
-        if request.guarantee() == Guarantee::Optimal && !report.proved_optimal {
+        if request.options().guarantee == Guarantee::Optimal && !report.proved_optimal {
             return Err(MapperError::OptimalityUnavailable {
                 reason: format!("the {} baseline cannot prove minimality", self.name()),
             });
@@ -344,7 +345,7 @@ impl Engine for HeuristicEngine {
 }
 
 /// The stochastic baseline's seeded trials, distributed over a scoped
-/// worker pool. Trial `t` uses seed `request.seed() + t`, exactly like
+/// worker pool. Trial `t` uses seed `options().seed + t`, exactly like
 /// the sequential loop did; results land in per-trial slots so the
 /// winner selection stays deterministic whenever every trial completes.
 ///
@@ -359,10 +360,10 @@ fn run_stochastic_pool(
 ) -> Result<HeuristicResult, MapperError> {
     let circuit = request.circuit();
     let model = request.device_model();
-    let cutoff = request.deadline().map(|d| Instant::now() + d);
+    let cutoff = request.options().deadline.map(|d| Instant::now() + d);
     let cancel = control.map(SolveControl::cancel_handle);
     // The planners' shared wind-down predicate, polled between trials.
-    let check = StopCheck::arm(request.deadline(), cancel.clone());
+    let check = StopCheck::arm(request.options().deadline, cancel.clone());
     let stopped = || check.stopped();
 
     let trials_usize = usize::try_from(trials).unwrap_or(usize::MAX);
@@ -390,7 +391,7 @@ fn run_stochastic_pool(
                     break;
                 }
                 let mut mapper =
-                    StochasticSwapMapper::with_seed(request.seed().wrapping_add(t as u64))
+                    StochasticSwapMapper::with_seed(request.options().seed.wrapping_add(t as u64))
                         .with_deadline(cutoff.map(|c| c.saturating_duration_since(Instant::now())));
                 if let Some(cancel) = &cancel {
                     mapper = mapper.with_stop(cancel.clone());

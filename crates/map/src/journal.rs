@@ -34,9 +34,12 @@
 //! records have landed since. Such a replica only reads: a journal has
 //! exactly one writer, because [`Journal::attach`] truncates a torn
 //! tail and compaction renames a new file over the path, either of
-//! which would lose a second writer's records. Records carrying byte-identical reports
-//! (a proved solve's base entry and its proved-tier entry) share one
-//! decoded report, as they do in the live cache.
+//! which would lose a second writer's records. [`Journal::attach`]
+//! enforces this with an exclusive file lock, held until the writer
+//! exits: a second attach on a live path fails before it touches the
+//! file. Records carrying byte-identical reports (a proved solve's
+//! base entry and its proved-tier entry) share one decoded report, as
+//! they do in the live cache.
 //!
 //! ## Compaction
 //!
@@ -47,8 +50,8 @@
 //! mid-compaction leaves the old file intact) and resumes appending.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::fs::{self, File, OpenOptions, TryLockError};
+use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -149,30 +152,38 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors opening, truncating or creating the
-    /// journal file.
+    /// Fails without touching the file when another live [`Journal`] —
+    /// in this process or any other — holds its lock, and propagates
+    /// filesystem errors opening, truncating or creating it.
     pub fn attach(
         cache: &'static SolveCache,
         path: &Path,
         compact_after: usize,
     ) -> io::Result<(Journal, JournalReplay)> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let replay = if bytes.is_empty() {
-            None
-        } else {
-            replay_journal(cache, &bytes).ok()
-        };
-        let replay = match replay {
-            Some(replay) => replay,
-            None => {
-                // Fresh file, or an existing one whose header is not
-                // ours: start over. (A bad header means the file was
-                // never a journal; per-record damage never lands here.)
-                fs::write(path, header_bytes())?;
+        // One writer per file: locked before anything is read or written,
+        // and held by the writer thread until it exits (or the process dies).
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        file.try_lock().map_err(|e| match e {
+            TryLockError::WouldBlock => io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("journal {} is locked by another writer", path.display()),
+            ),
+            TryLockError::Error(e) => e,
+        })?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let replay = match replay_journal(cache, &bytes) {
+            Ok(replay) => replay,
+            Err(_) => {
+                // A fresh (empty) file, or one whose header is not ours:
+                // start over. (A bad header means the file was never a
+                // journal; per-record damage never lands here.)
+                file.set_len(0)?;
+                file.write_all(&header_bytes())?;
                 JournalReplay {
                     bytes_consumed: HEADER_LEN,
                     reset: !bytes.is_empty(),
@@ -182,10 +193,7 @@ impl Journal {
         };
         // Drop the torn tail (if any) so appended records extend intact
         // data instead of burying themselves behind a partial record.
-        let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(replay.bytes_consumed)?;
-        drop(file);
-        let file = OpenOptions::new().append(true).open(path)?;
 
         let (tx, rx) = mpsc::channel::<Event>();
         let path = path.to_path_buf();
@@ -325,12 +333,15 @@ pub(crate) fn compacted(cache: &SolveCache) -> Vec<u8> {
 }
 
 /// Rewrites the journal as its [`compacted`] image (temp-then-rename,
-/// crash-safe), returning the reopened append handle.
+/// crash-safe), returning the new file's handle — locked before the
+/// rename, so the file at `path` is always the writer's locked one.
 fn compact(cache: &SolveCache, path: &Path) -> io::Result<File> {
     let tmp = path.with_extension(format!("compact.{}", std::process::id()));
-    fs::write(&tmp, compacted(cache))?;
+    let mut file = File::create(&tmp)?;
+    file.try_lock()?;
+    file.write_all(&compacted(cache))?;
     fs::rename(&tmp, path)?;
-    OpenOptions::new().append(true).open(path)
+    Ok(file)
 }
 
 fn header_bytes() -> Vec<u8> {
@@ -673,6 +684,78 @@ mod tests {
         assert!(lookup_seeded(restored, 3).is_some());
         assert!(lookup_seeded(restored, 4).is_some());
         assert!(lookup_seeded(restored, 2).is_none());
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Polls `done` until it holds (the writer thread is asynchronous).
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what} never happened"
+            );
+            thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+
+    /// A second attach on a held path fails with the lock named, leaves
+    /// the file byte-for-byte as it was and replays nothing.
+    fn assert_refused(path: &Path) {
+        let before = fs::read(path).unwrap();
+        let intruder = leaked(8);
+        let error = Journal::attach(intruder, path, 1024).unwrap_err();
+        assert!(error.to_string().contains("locked"), "{error}");
+        assert_eq!(
+            fs::read(path).unwrap(),
+            before,
+            "the held file is untouched"
+        );
+        assert_eq!(intruder.stats().entries, 0, "nothing was replayed");
+    }
+
+    #[test]
+    fn a_second_writer_is_refused_while_the_first_is_live() {
+        let path = temp("locked-live");
+        let _ = fs::remove_file(&path);
+        let source = leaked(8);
+        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        insert_seeded(source, 0);
+        wait_for("the first append", || journal.stats().appended == 1);
+        assert_refused(&path);
+        // The first writer is unaffected: its next record still lands.
+        insert_seeded(source, 1);
+        journal.finish().unwrap();
+        let replay = replay_journal(leaked(8), &fs::read(&path).unwrap()).unwrap();
+        assert_eq!((replay.admitted, replay.rejected), (2, 0));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_second_writer_attaches_after_the_first_finishes() {
+        let path = temp("locked-finished");
+        let _ = fs::remove_file(&path);
+        let source = leaked(8);
+        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        insert_seeded(source, 0);
+        journal.finish().unwrap();
+        let (second, replay) = Journal::attach(leaked(8), &path, 1024).unwrap();
+        assert_eq!(replay.admitted, 1);
+        second.finish().unwrap();
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_second_writer_is_refused_after_the_first_compacts() {
+        let path = temp("locked-compacted");
+        let _ = fs::remove_file(&path);
+        let source = leaked(8);
+        // Compact after every append: the file at the path is replaced.
+        let (journal, _) = Journal::attach(source, &path, 1).unwrap();
+        insert_seeded(source, 0);
+        wait_for("a compaction", || journal.stats().compactions == 1);
+        assert_refused(&path);
+        journal.finish().unwrap();
         let _ = fs::remove_file(&path);
     }
 

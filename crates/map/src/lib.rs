@@ -7,8 +7,9 @@
 //! construction versus `Mapper::map(&Circuit, &CouplingMap)`). This crate
 //! redesigns the public surface around three types:
 //!
-//! * [`MapRequest`] — a builder bundling the circuit, device, cost model,
-//!   [`Guarantee`] level, permutation strategy, conflict budget and seed;
+//! * [`MapRequest`] — a builder bundling a circuit, a device model and a
+//!   [`SolveOptions`] (the [`Guarantee`] level, permutation strategy,
+//!   subset flag, conflict budget, deadline, declared bound and seed);
 //! * [`MapReport`] — one uniform answer: the hardware circuit, both
 //!   layouts, a [`CostBreakdown`], a `proved_optimal` certificate, the
 //!   runtime and the engine that produced it;
@@ -83,7 +84,7 @@ pub use journal::{
 };
 pub use portfolio::Portfolio;
 pub use report::{CostBreakdown, MapReport, WindowCertificate};
-pub use request::{Guarantee, MapRequest};
+pub use request::{Guarantee, MapRequest, SolveOptions};
 pub use snapshot::SnapshotError;
 
 /// Maps one request with the default [`Portfolio`] engine, answered from

@@ -9,7 +9,7 @@ use qxmap_core::SolveControl;
 use crate::engine::{exact_in_regime, Engine, ExactEngine, HeuristicEngine};
 use crate::error::MapperError;
 use crate::report::MapReport;
-use crate::request::{Guarantee, MapRequest};
+use crate::request::{Guarantee, MapRequest, SolveOptions};
 
 /// Races the heuristic baselines and — when the device is within the
 /// exact method's regime — the SAT engine, all on scoped threads sharing
@@ -224,11 +224,12 @@ impl Engine for Portfolio {
     fn run(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
         let start = Instant::now();
         let trace = request.trace();
+        let options = request.options();
         // One control handle couples the whole race: heuristics tighten
         // its bound as they finish, the exact engine prunes against it
         // mid-run and stops on its cancel flag.
         let control = SolveControl::new();
-        if let Some(u) = request.upper_bound() {
+        if let Some(u) = options.upper_bound {
             control.bound().tighten(u);
         }
 
@@ -245,17 +246,20 @@ impl Engine for Portfolio {
             trace.event(&format!("race/skip/{engine}"), reason, 1);
         }
 
-        // Heuristic side of the race. Guarantee and upper-bound demands
-        // are settled at the portfolio level, not per baseline — an
+        // The request every racer answers. Guarantee and upper-bound
+        // demands are settled at the portfolio level, not per racer — an
         // over-bound heuristic winner is still useful for seeding the
         // exact search. Structural errors (too many qubits) are terminal,
         // but Unroutable is not: the layer heuristics give up on
         // disconnected devices that the exact engine's connected-subset
         // search may still map.
-        let heuristic_request = request
+        let racer_request = request
             .clone()
-            .with_guarantee(Guarantee::BestEffort)
-            .with_upper_bound(None)
+            .with_options(SolveOptions {
+                guarantee: Guarantee::BestEffort,
+                upper_bound: None,
+                ..options.clone()
+            })
             // Racer spans land under "race/<engine>" on the shared
             // timeline (the engines record their own spans).
             .with_trace(trace.scoped("race"));
@@ -272,26 +276,20 @@ impl Engine for Portfolio {
         std::thread::scope(|scope| {
             let exact_handle = run_exact.then(|| {
                 let control = control.clone();
-                scope.spawn(|| {
-                    let exact_request = request
-                        .clone()
-                        .with_guarantee(Guarantee::BestEffort)
-                        .with_upper_bound(None)
-                        .with_trace(trace.scoped("race"));
-                    ExactEngine::new().with_control(control).run(&exact_request)
-                })
+                let racer_request = &racer_request;
+                scope.spawn(move || ExactEngine::new().with_control(control).run(racer_request))
             });
             let handles: Vec<_> = pool
                 .iter()
                 .map(|engine| {
                     let control = &control;
-                    let heuristic_request = &heuristic_request;
+                    let racer_request = &racer_request;
                     scope.spawn(move || {
                         // Heuristics receive the race's control handle:
                         // the stochastic trial pool stops early when a
                         // zero-cost win cancels the race (and observes
                         // the request's deadline on its own).
-                        let result = engine.run_inner(heuristic_request, Some(control));
+                        let result = engine.run_inner(racer_request, Some(control));
                         if let Ok(report) = &result {
                             control.bound().tighten(report.cost.objective);
                             trace.event("race/bound", engine.name(), report.cost.objective);
@@ -341,7 +339,7 @@ impl Engine for Portfolio {
         // A caller-declared upper bound is a hard contract: results at or
         // above it may not be returned. Heuristic winners that miss it
         // only served to tighten the exact search, never as answers.
-        let user_bound = request.upper_bound();
+        let user_bound = options.upper_bound;
         let best = match (user_bound, pool_best) {
             (Some(u), Some(b)) if b.cost.objective >= u => None,
             (_, b) => b,
@@ -376,7 +374,7 @@ impl Engine for Portfolio {
         };
 
         if !exact_in_regime(request) {
-            return match (best, request.guarantee()) {
+            return match (best, options.guarantee) {
                 (Some(best), Guarantee::BestEffort) => Ok(finish(best)),
                 (None, Guarantee::BestEffort) => Err(no_candidate()),
                 (_, Guarantee::Optimal) => Err(MapperError::OptimalityUnavailable {
@@ -409,7 +407,7 @@ impl Engine for Portfolio {
         // the exact formulation is complete: a restricted Section 4.2
         // strategy searches a smaller space, so its Infeasible proves
         // nothing about mappings outside that space.
-        let formulation_complete = *request.strategy() == qxmap_core::Strategy::BeforeEveryGate;
+        let formulation_complete = options.strategy == qxmap_core::Strategy::BeforeEveryGate;
 
         match outcome {
             Ok(mut report) => {
@@ -423,7 +421,7 @@ impl Engine for Portfolio {
                     Some(b) if b.cost.objective < report.cost.objective => b,
                     _ => report,
                 };
-                if request.guarantee() == Guarantee::Optimal && !chosen.proved_optimal {
+                if options.guarantee == Guarantee::Optimal && !chosen.proved_optimal {
                     return Err(MapperError::proof_budget_exhausted());
                 }
                 Ok(finish(chosen))
@@ -436,7 +434,7 @@ impl Engine for Portfolio {
             // winner, proves the user bound infeasible); under a
             // restricted strategy it only means the restricted search
             // found nothing better.
-            Err(MapperError::Infeasible) => match (best, request.guarantee()) {
+            Err(MapperError::Infeasible) => match (best, options.guarantee) {
                 (Some(mut best), guarantee) => {
                     if formulation_complete {
                         best.proved_optimal = true;
@@ -446,7 +444,7 @@ impl Engine for Portfolio {
                             reason: format!(
                                 "the {:?} strategy restricts the exact search; its \
                                  exhaustion is no proof of global minimality",
-                                request.strategy()
+                                options.strategy
                             ),
                         });
                     }
@@ -460,14 +458,14 @@ impl Engine for Portfolio {
             },
             // A budget (conflicts or deadline) ran out before the
             // certificate: keep the heuristic result, honestly unproved.
-            Err(MapperError::BudgetExhausted) => match (best, request.guarantee()) {
+            Err(MapperError::BudgetExhausted) => match (best, options.guarantee) {
                 (Some(best), Guarantee::BestEffort) => Ok(finish(best)),
                 (None, Guarantee::BestEffort) => Err(no_candidate()),
                 (_, Guarantee::Optimal) => Err(MapperError::proof_budget_exhausted()),
             },
             // A subset slipped past the regime check (e.g. subsets
             // disabled on a mid-size device): fall back to the heuristic.
-            Err(MapperError::DeviceTooLarge { .. }) => match (best, request.guarantee()) {
+            Err(MapperError::DeviceTooLarge { .. }) => match (best, options.guarantee) {
                 (Some(best), Guarantee::BestEffort) => Ok(finish(best)),
                 (None, Guarantee::BestEffort) => Err(no_candidate()),
                 (_, Guarantee::Optimal) => Err(MapperError::OptimalityUnavailable {

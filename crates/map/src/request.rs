@@ -20,7 +20,56 @@ pub enum Guarantee {
     BestEffort,
 }
 
-/// Everything a mapping engine needs to answer one mapping question.
+/// The seven knobs that steer a solve — the one place they are declared.
+///
+/// A [`MapRequest`] and a [`crate::CacheProbe`] each carry one, and the
+/// solve cache derives its key from it, so a probe and a request built
+/// from the same value resolve to the same entry. `Default` is what
+/// [`MapRequest::new`] starts from: best effort, permutations before
+/// every gate, subsets on, no budgets, no declared bound, seed 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SolveOptions {
+    /// The demanded guarantee level.
+    pub guarantee: Guarantee,
+    /// The permutation-site strategy used by exact engines (Section 4.2
+    /// of the paper).
+    pub strategy: Strategy,
+    /// Whether exact engines use the connected-subset optimization
+    /// (Section 4.1).
+    pub subsets: bool,
+    /// Caps the total SAT conflicts exact engines may spend.
+    pub conflict_budget: Option<u64>,
+    /// Caps the wall-clock time of the request. Exact searches (including
+    /// a racing [`crate::Portfolio`]'s) stop cooperatively when it fires
+    /// and the best verified result found so far is returned —
+    /// `proved_optimal` only if the proof closed in time.
+    pub deadline: Option<Duration>,
+    /// An externally known achievable cost: engines only return results
+    /// with cost **strictly below** it. Exact engines prune their search
+    /// with it from the first solve; the [`crate::Portfolio`] engine
+    /// additionally tightens it with its own heuristic pass and never
+    /// falls back to a result at or above it.
+    pub upper_bound: Option<u64>,
+    /// Seeds randomized engines (the stochastic baseline).
+    pub seed: u64,
+}
+
+impl Default for SolveOptions {
+    fn default() -> SolveOptions {
+        SolveOptions {
+            guarantee: Guarantee::default(),
+            strategy: Strategy::default(),
+            subsets: true,
+            conflict_budget: None,
+            deadline: None,
+            upper_bound: None,
+            seed: 0,
+        }
+    }
+}
+
+/// Everything a mapping engine needs to answer one mapping question: a
+/// circuit, a device model and a [`SolveOptions`].
 ///
 /// Built in builder style; every knob has a sensible default. The two
 /// budgets compose: the conflict budget caps solver *work*, the deadline
@@ -39,7 +88,7 @@ pub enum Guarantee {
 ///     .with_deadline(Duration::from_millis(250))
 ///     .with_seed(7);
 /// assert_eq!(request.device().num_qubits(), 5);
-/// assert_eq!(request.deadline(), Some(Duration::from_millis(250)));
+/// assert_eq!(request.options().deadline, Some(Duration::from_millis(250)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MapRequest {
@@ -60,13 +109,7 @@ pub struct MapRequest {
     model: OnceLock<DeviceModel>,
     explicit_model: bool,
     cost_model: CostModel,
-    guarantee: Guarantee,
-    strategy: Strategy,
-    use_subsets: bool,
-    conflict_budget: Option<u64>,
-    deadline: Option<Duration>,
-    upper_bound: Option<u64>,
-    seed: u64,
+    options: SolveOptions,
     /// Trace recorder engines report their phase spans to. Defaults to
     /// the disabled recorder (free no-ops); deliberately **not** part of
     /// the request's cache identity — traced and untraced requests share
@@ -75,9 +118,8 @@ pub struct MapRequest {
 }
 
 impl MapRequest {
-    /// A request with default settings: the paper's 7/4 cost model,
-    /// [`Guarantee::BestEffort`], permutations before every gate, the
-    /// Section 4.1 subset optimization enabled, no budgets, seed 0.
+    /// A request with default settings: the paper's 7/4 cost model and
+    /// [`SolveOptions::default`].
     pub fn new(circuit: Circuit, device: CouplingMap) -> MapRequest {
         MapRequest {
             circuit,
@@ -85,13 +127,7 @@ impl MapRequest {
             model: OnceLock::new(),
             explicit_model: false,
             cost_model: CostModel::default(),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: SolveOptions::default(),
             trace: SpanRecorder::disabled(),
         }
     }
@@ -117,13 +153,7 @@ impl MapRequest {
             model: OnceLock::from(model),
             explicit_model: true,
             cost_model: CostModel::default(),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: SolveOptions::default(),
             trace: SpanRecorder::disabled(),
         }
     }
@@ -151,54 +181,52 @@ impl MapRequest {
         self
     }
 
-    /// Sets the demanded guarantee level.
+    /// Replaces all seven solve knobs at once; the single-knob builders
+    /// below each set one field.
+    pub fn with_options(mut self, options: SolveOptions) -> MapRequest {
+        self.options = options;
+        self
+    }
+
+    /// Sets [`SolveOptions::guarantee`].
     pub fn with_guarantee(mut self, guarantee: Guarantee) -> MapRequest {
-        self.guarantee = guarantee;
+        self.options.guarantee = guarantee;
         self
     }
 
-    /// Sets the permutation-site strategy used by exact engines
-    /// (Section 4.2 of the paper).
+    /// Sets [`SolveOptions::strategy`].
     pub fn with_strategy(mut self, strategy: Strategy) -> MapRequest {
-        self.strategy = strategy;
+        self.options.strategy = strategy;
         self
     }
 
-    /// Enables/disables the connected-subset optimization (Section 4.1).
+    /// Sets [`SolveOptions::subsets`].
     pub fn with_subsets(mut self, on: bool) -> MapRequest {
-        self.use_subsets = on;
+        self.options.subsets = on;
         self
     }
 
-    /// Caps the total SAT conflicts exact engines may spend.
+    /// Sets [`SolveOptions::conflict_budget`].
     pub fn with_conflict_budget(mut self, budget: Option<u64>) -> MapRequest {
-        self.conflict_budget = budget;
+        self.options.conflict_budget = budget;
         self
     }
 
-    /// Caps the wall-clock time of the request. Exact searches (including
-    /// a racing [`crate::Portfolio`]'s) stop cooperatively when it fires
-    /// and the best verified result found so far is returned —
-    /// `proved_optimal` only if the proof closed in time. Heuristic
-    /// engines are fast and run to completion regardless.
+    /// Sets [`SolveOptions::deadline`].
     pub fn with_deadline(mut self, deadline: Duration) -> MapRequest {
-        self.deadline = Some(deadline);
+        self.options.deadline = Some(deadline);
         self
     }
 
-    /// Declares an externally known achievable cost: engines only return
-    /// results with cost **strictly below** it. Exact engines prune their
-    /// search with it from the first solve; the [`crate::Portfolio`]
-    /// engine additionally tightens it with its own heuristic pass and
-    /// never falls back to a result at or above it.
+    /// Sets [`SolveOptions::upper_bound`].
     pub fn with_upper_bound(mut self, bound: Option<u64>) -> MapRequest {
-        self.upper_bound = bound;
+        self.options.upper_bound = bound;
         self
     }
 
-    /// Seeds randomized engines (the stochastic baseline).
+    /// Sets [`SolveOptions::seed`].
     pub fn with_seed(mut self, seed: u64) -> MapRequest {
-        self.seed = seed;
+        self.options.seed = seed;
         self
     }
 
@@ -279,39 +307,10 @@ impl MapRequest {
         self.cost_model
     }
 
-    /// The demanded guarantee level.
-    pub fn guarantee(&self) -> Guarantee {
-        self.guarantee
-    }
-
-    /// The permutation-site strategy for exact engines.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
-    }
-
-    /// Whether the subset optimization is enabled.
-    pub fn use_subsets(&self) -> bool {
-        self.use_subsets
-    }
-
-    /// The exact engines' conflict budget.
-    pub fn conflict_budget(&self) -> Option<u64> {
-        self.conflict_budget
-    }
-
-    /// The wall-clock budget, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The externally known achievable cost, if any.
-    pub fn upper_bound(&self) -> Option<u64> {
-        self.upper_bound
-    }
-
-    /// The seed for randomized engines.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// The solve knobs: guarantee, strategy, subsets, budgets, declared
+    /// bound and seed.
+    pub fn options(&self) -> &SolveOptions {
+        &self.options
     }
 
     /// The attached trace recorder (disabled by default).
@@ -328,12 +327,19 @@ mod tests {
     #[test]
     fn defaults_are_best_effort_with_subsets() {
         let req = MapRequest::new(Circuit::new(2), devices::ibm_qx4());
-        assert_eq!(req.guarantee(), Guarantee::BestEffort);
-        assert!(req.use_subsets());
-        assert_eq!(req.conflict_budget(), None);
-        assert_eq!(req.deadline(), None);
-        assert_eq!(req.upper_bound(), None);
-        assert_eq!(req.seed(), 0);
+        let options = req.options();
+        assert_eq!(options.guarantee, Guarantee::BestEffort);
+        assert_eq!(options.strategy, Strategy::BeforeEveryGate);
+        assert!(options.subsets);
+        assert_eq!(options.conflict_budget, None);
+        assert_eq!(options.deadline, None);
+        assert_eq!(options.upper_bound, None);
+        assert_eq!(options.seed, 0);
+        let model = DeviceModel::new(devices::ibm_qx4());
+        assert_eq!(
+            MapRequest::for_model(Circuit::new(2), model).options(),
+            &SolveOptions::default()
+        );
     }
 
     #[test]
@@ -346,7 +352,6 @@ mod tests {
 
     #[test]
     fn explicit_model_wins_over_cost_model() {
-        use qxmap_arch::DeviceModel;
         let model = DeviceModel::new(devices::ibm_qx4()).with_swap_cost(0, 1, 70);
         let req = MapRequest::for_model(Circuit::new(2), model.clone())
             .with_cost_model(CostModel::bidirectional());
@@ -369,11 +374,18 @@ mod tests {
             .with_deadline(Duration::from_secs(1))
             .with_upper_bound(Some(4))
             .with_seed(3);
-        assert_eq!(req.guarantee(), Guarantee::Optimal);
-        assert!(!req.use_subsets());
-        assert_eq!(req.conflict_budget(), Some(10));
-        assert_eq!(req.deadline(), Some(Duration::from_secs(1)));
-        assert_eq!(req.upper_bound(), Some(4));
-        assert_eq!(req.seed(), 3);
+        let expected = SolveOptions {
+            guarantee: Guarantee::Optimal,
+            subsets: false,
+            conflict_budget: Some(10),
+            deadline: Some(Duration::from_secs(1)),
+            upper_bound: Some(4),
+            seed: 3,
+            ..SolveOptions::default()
+        };
+        assert_eq!(req.options(), &expected);
+        // with_options sets the same value in one step.
+        let whole = MapRequest::new(Circuit::new(2), devices::ibm_qx4()).with_options(expected);
+        assert_eq!(whole.options(), req.options());
     }
 }

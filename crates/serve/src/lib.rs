@@ -29,7 +29,8 @@
 //!   processes — canonical circuit skeletons × device-model
 //!   fingerprints), so even a `kill -9` loses only the unsynced tail and
 //!   a restart answers repeated requests in microseconds. A journal has
-//!   one writer; a replica is seeded from a copy of the file.
+//!   one writer, enforced by a file lock; a replica is seeded from a
+//!   copy of the file.
 //!
 //! The `qxmap-serve` binary wires these together; see the repository
 //! `GUIDE.md` ("Running the server") for protocol examples.

@@ -55,9 +55,10 @@
 //! a replica seeded from a copy of the file) starts warm and answers
 //! repeated requests in microseconds. Compaction writes a temporary
 //! file and renames it into place, so a crash mid-compaction never
-//! damages the previous file. A journal has exactly one writer: two
-//! daemons must not share a journal path. A replica may instead
-//! warm-share by tail-following the file read-only with
+//! damages the previous file. A journal has exactly one writer, enforced
+//! by a file lock taken at attach: a second daemon on a live journal
+//! path fails [`Server::warm_start`] and starts cold. A replica may
+//! instead warm-share by tail-following the file read-only with
 //! [`qxmap_map::replay_records`].
 
 use std::collections::{BTreeMap, BinaryHeap};
@@ -1952,14 +1953,19 @@ mod tests {
         // A solver slower than the request's deadline: the response is
         // still delivered (the engines degrade, they don't fabricate
         // errors), but the miss is counted and the latency lands in the
-        // histogram.
+        // histogram. The deadline is long enough that even a loaded
+        // worker dequeues the job in time (a job still queued at its
+        // deadline is shed, which records neither latency nor a miss),
+        // and the solver sleeps well past it. The unique seed keeps a
+        // sibling test's proved answer from serving it warm.
         let solver: BatchSolver = Box::new(|requests| {
-            std::thread::sleep(Duration::from_millis(30));
+            std::thread::sleep(Duration::from_millis(300));
             qxmap_map::map_many(requests)
         });
         let server = Server::start_with_solver(config(1, 8, 1), solver);
         let missed = format!(
-            "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"deadline_ms\":1}}",
+            "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"deadline_ms\":250,\
+             \"seed\":4242}}",
             Json::str(QASM)
         );
         server.handle_line(&missed);
@@ -1972,7 +1978,7 @@ mod tests {
         let latency = metrics.get("latency").unwrap();
         assert_eq!(latency.get("count").and_then(Json::as_u64), Some(1));
         assert!(
-            latency.get("p50_us").and_then(Json::as_u64).unwrap() >= 30_000,
+            latency.get("p50_us").and_then(Json::as_u64).unwrap() >= 300_000,
             "{latency}"
         );
         // A deadline-free request records latency but cannot miss.

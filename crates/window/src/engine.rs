@@ -8,7 +8,7 @@ use qxmap_arch::{DeviceModel, Layout};
 use qxmap_circuit::Circuit;
 use qxmap_core::{Strategy, MAX_EXACT_QUBITS};
 use qxmap_map::{
-    CostBreakdown, Engine, Guarantee, MapReport, MapRequest, MapperError, Portfolio,
+    CostBreakdown, Engine, Guarantee, MapReport, MapRequest, MapperError, Portfolio, SolveOptions,
     WindowCertificate,
 };
 
@@ -105,7 +105,7 @@ impl WindowedEngine {
                 physical: m,
             });
         }
-        if request.guarantee() == Guarantee::Optimal {
+        if request.options().guarantee == Guarantee::Optimal {
             return Err(MapperError::OptimalityUnavailable {
                 reason: "window decomposition certifies per-window minima, not a global one"
                     .to_string(),
@@ -178,15 +178,22 @@ impl WindowedEngine {
         // Even, deterministic budget slices keep window cache keys
         // stable across runs of the same request.
         let units = u32::try_from(solvable.max(1)).unwrap_or(u32::MAX);
-        let deadline_slice = request.deadline().map(|d| d / units);
-        let conflict_slice = request
-            .conflict_budget()
-            .map(|b| (b / u64::from(units)).max(1));
-        // Window strategies restrict *within* a block; explicit global
-        // change-point lists are meaningless on a subcircuit.
-        let strategy = match request.strategy() {
-            Strategy::Custom(_) => Strategy::BeforeEveryGate,
-            s => s.clone(),
+        let options = request.options();
+        let sub_options = SolveOptions {
+            guarantee: Guarantee::BestEffort,
+            // Window strategies restrict *within* a block; explicit
+            // global change-point lists are meaningless on a subcircuit.
+            strategy: match &options.strategy {
+                Strategy::Custom(_) => Strategy::BeforeEveryGate,
+                s => s.clone(),
+            },
+            subsets: false,
+            conflict_budget: options
+                .conflict_budget
+                .map(|b| (b / u64::from(units)).max(1)),
+            deadline: options.deadline.map(|d| d / units),
+            upper_bound: None,
+            seed: options.seed,
         };
 
         let mut predicted_pos: Vec<Option<usize>> = vec![None; num_logical];
@@ -227,16 +234,8 @@ impl WindowedEngine {
                 predicted_occ[region[i]] = Some(q);
             }
 
-            let mut sub =
-                MapRequest::for_model(block.circuit.clone(), model.subgraph_model(&region))
-                    .with_strategy(strategy.clone())
-                    .with_subsets(false)
-                    .with_conflict_budget(conflict_slice)
-                    .with_upper_bound(None)
-                    .with_seed(request.seed());
-            if let Some(d) = deadline_slice {
-                sub = sub.with_deadline(d);
-            }
+            let sub = MapRequest::for_model(block.circuit.clone(), model.subgraph_model(&region))
+                .with_options(sub_options.clone());
             plans.push((region, sub));
         }
         plans
@@ -374,7 +373,8 @@ impl WindowedEngine {
             // solves, so a late-running stitch must not spend SAT time
             // the deadline no longer has.
             let slack = request
-                .deadline()
+                .options()
+                .deadline
                 .map(|d| d.saturating_sub(started.elapsed()));
             let outcome = bridge::route_bridge(
                 &mut out,
@@ -427,7 +427,7 @@ impl WindowedEngine {
             });
         }
 
-        if let Some(bound) = request.upper_bound() {
+        if let Some(bound) = request.options().upper_bound {
             // The declared bound is a hard ceiling for every engine.
             if objective >= bound {
                 return Err(MapperError::BoundUnmet { bound });

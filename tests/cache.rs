@@ -1,15 +1,20 @@
 //! Contract tests for the whole-solve cache and the deadline-aware
 //! heuristic engines: cache identity under register relabeling (and
-//! non-identity under device changes), the cache-served report contract
-//! (sub-millisecond, flagged, layouts translated), and stochastic-engine
-//! deadline interruption.
+//! non-identity under device changes), one key for a skeleton probe and
+//! a request built from the same options, the cache-served report
+//! contract (sub-millisecond, flagged, layouts translated), and
+//! stochastic-engine deadline interruption.
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use qxmap::arch::devices;
-use qxmap::circuit::{Circuit, CircuitSkeleton};
-use qxmap::map::{map_one, Engine, HeuristicEngine, MapRequest, Portfolio, SolveCache};
+use qxmap::circuit::{paper_example, Circuit, CircuitSkeleton};
+use qxmap::core::Strategy as SiteStrategy;
+use qxmap::map::{
+    map_one, CacheProbe, Engine, Guarantee, HeuristicEngine, MapRequest, Portfolio, SolveCache,
+    SolveOptions,
+};
 
 #[test]
 fn second_identical_request_is_a_flagged_submillisecond_hit() {
@@ -145,6 +150,129 @@ proptest! {
             cache.lookup(&engine.cache_signature(), &other_device).is_none(),
             "a different coupling graph must miss"
         );
+    }
+}
+
+/// `Some(value)` half the time.
+fn optional<S: Strategy>(values: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), values).prop_map(|(some, value)| some.then_some(value))
+}
+
+/// Solve options drawn over all seven knobs.
+fn solve_options() -> impl Strategy<Value = SolveOptions> {
+    let strategy = prop_oneof![
+        Just(SiteStrategy::BeforeEveryGate),
+        Just(SiteStrategy::DisjointQubits),
+        Just(SiteStrategy::OddGates),
+        Just(SiteStrategy::QubitTriangle),
+        (1usize..4).prop_map(SiteStrategy::Window),
+        prop::collection::vec(0usize..6, 0..4).prop_map(SiteStrategy::Custom),
+    ];
+    let knobs = (any::<bool>(), strategy, any::<bool>());
+    let budgets = (
+        optional(0u64..1_000_000),
+        optional(1u64..10_000),
+        optional(0u64..1_000),
+        any::<u64>(),
+    );
+    (knobs, budgets).prop_map(
+        |((optimal, strategy, subsets), (conflict_budget, deadline_ms, upper_bound, seed))| {
+            SolveOptions {
+                guarantee: if optimal {
+                    Guarantee::Optimal
+                } else {
+                    Guarantee::BestEffort
+                },
+                strategy,
+                subsets,
+                conflict_budget,
+                deadline: deadline_ms.map(Duration::from_millis),
+                upper_bound,
+                seed,
+            }
+        },
+    )
+}
+
+/// `options` with knob `field` (0..7, in declaration order) changed to
+/// a different value.
+fn with_one_knob_changed(options: &SolveOptions, field: usize) -> SolveOptions {
+    let mut changed = options.clone();
+    match field {
+        0 => {
+            changed.guarantee = match options.guarantee {
+                Guarantee::Optimal => Guarantee::BestEffort,
+                Guarantee::BestEffort => Guarantee::Optimal,
+            }
+        }
+        1 => {
+            changed.strategy = match options.strategy {
+                SiteStrategy::BeforeEveryGate => SiteStrategy::DisjointQubits,
+                _ => SiteStrategy::BeforeEveryGate,
+            }
+        }
+        2 => changed.subsets = !options.subsets,
+        3 => changed.conflict_budget = Some(options.conflict_budget.map_or(0, |b| b + 1)),
+        4 => {
+            let later = options
+                .deadline
+                .map_or(Duration::ZERO, |d| d + Duration::from_millis(1));
+            changed.deadline = Some(later);
+        }
+        5 => changed.upper_bound = Some(options.upper_bound.map_or(0, |b| b + 1)),
+        _ => changed.seed = options.seed.wrapping_add(1),
+    }
+    assert_ne!(&changed, options);
+    changed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A skeleton probe and a materialized request built from the same
+    /// options resolve to one cache key: the probe hits what the request
+    /// stored, and changing any one knob misses on both paths — except
+    /// that a proved answer is published to every budget class, so a
+    /// changed deadline or conflict budget alone still hits it.
+    #[test]
+    fn probe_and_request_built_from_one_options_value_share_a_key(
+        options in solve_options(),
+        proved in any::<bool>(),
+    ) {
+        let cache = SolveCache::with_capacity(16);
+        let engine = HeuristicEngine::naive();
+        let signature = engine.cache_signature();
+        let circuit = paper_example();
+        let cm = devices::ibm_qx4();
+        // The stored answer comes from a default-options solve (a drawn
+        // Optimal demand or bound could refuse one); the options it is
+        // stored under are what pin the key. `proved` stands in for a
+        // certificate, to exercise the proved tier.
+        let mut report = engine
+            .run(&MapRequest::new(circuit.clone(), cm.clone()))
+            .expect("mappable");
+        report.proved_optimal = proved;
+        let request = |o: &SolveOptions| {
+            MapRequest::new(circuit.clone(), cm.clone()).with_options(o.clone())
+        };
+        cache.insert(&signature, &request(&options), &report);
+        let skeleton = CircuitSkeleton::of(&circuit);
+        let probe = |o: &SolveOptions| {
+            let probe = CacheProbe::new(skeleton.clone(), &cm).with_options(o.clone());
+            cache.probe(&signature, &probe)
+        };
+
+        let hit = probe(&options).expect("the probe hits the request's entry");
+        prop_assert_eq!(hit.cost, report.cost);
+        prop_assert!(cache.lookup(&signature, &request(&options)).is_some());
+        for field in 0..7 {
+            let changed = with_one_knob_changed(&options, field);
+            let budget_only = field == 3 || field == 4;
+            let hits = proved && budget_only;
+            prop_assert_eq!(probe(&changed).is_some(), hits, "knob {} {:?}", field, changed);
+            let looked_up = cache.lookup(&signature, &request(&changed));
+            prop_assert_eq!(looked_up.is_some(), hits, "knob {} {:?}", field, changed);
+        }
     }
 }
 

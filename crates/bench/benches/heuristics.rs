@@ -1,12 +1,12 @@
 //! Benchmarks the heuristic baselines (Table 1, last column + the
-//! additional A*/naive comparators) — these run orders of magnitude
+//! additional SABRE/naive comparators) — these run orders of magnitude
 //! faster than the exact method, which is exactly the trade-off the paper
 //! quantifies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qxmap_arch::devices;
 use qxmap_benchmarks::{circuit_for, profiles};
-use qxmap_heuristic::{AStarMapper, Mapper, NaiveMapper, SabreMapper, StochasticSwapMapper};
+use qxmap_heuristic::{Mapper, NaiveMapper, SabreMapper, StochasticSwapMapper};
 
 fn bench_heuristics(c: &mut Criterion) {
     let cm = devices::ibm_qx4();
@@ -21,10 +21,6 @@ fn bench_heuristics(c: &mut Criterion) {
                 b.iter(|| qxmap_bench::best_of_stochastic(circuit, &cm, 5));
             },
         );
-        group.bench_with_input(BenchmarkId::new("astar", name), &circuit, |b, circuit| {
-            let mapper = AStarMapper::new();
-            b.iter(|| mapper.map(circuit, &cm).expect("mappable"));
-        });
         group.bench_with_input(BenchmarkId::new("sabre", name), &circuit, |b, circuit| {
             let mapper = SabreMapper::new();
             b.iter(|| mapper.map(circuit, &cm).expect("mappable"));

@@ -448,6 +448,7 @@ fn main() {
             Json::num(u64::from(CORPUS_SCHEMA_VERSION)),
         ),
         ("manifest_hash", Json::str(hash.clone())),
+        ("host", stats::host_json()),
         ("smoke", Json::Bool(flags.smoke)),
         ("warm_repeats", Json::num(flags.warm_repeats as u64)),
         ("rows", Json::Arr(rows)),
@@ -486,6 +487,7 @@ fn main() {
             ("schema", Json::str("qxmap.bench_window")),
             ("schema_version", Json::num(1)),
             ("manifest_hash", Json::str(hash)),
+            ("host", stats::host_json()),
             ("device", Json::str("heavy-hex-4")),
             ("windowed_wins", Json::num(windowed_wins as u64)),
             ("rows", Json::Arr(window_rows)),

@@ -11,10 +11,14 @@
 //! printed on its own line); 2 — the files are not comparable (missing,
 //! unparsable, different schema, or a different corpus manifest — fix
 //! the baseline, don't revert the PR).
+//!
+//! Both documents' host core counts (`host.cores`) are printed first; a
+//! mismatch, or a side that does not record one, draws a warning on
+//! stderr but never changes the exit code.
 
 use std::process::ExitCode;
 
-use qxmap_bench::diff::{diff, Thresholds};
+use qxmap_bench::diff::{diff, host_cores, host_warning, Thresholds};
 use qxmap_serve::Json;
 
 fn main() -> ExitCode {
@@ -71,6 +75,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    let cores = |doc: &Json| host_cores(doc).map_or("unrecorded".to_string(), |n| n.to_string());
+    println!(
+        "bench_diff: host cores: baseline {}, fresh {}",
+        cores(&baseline),
+        cores(&fresh)
+    );
+    if let Some(warning) = host_warning(&baseline, &fresh) {
+        eprintln!("bench_diff: warning: {warning}");
+    }
 
     match diff(&baseline, &fresh, &thresholds) {
         Err(message) => {

@@ -567,6 +567,7 @@ fn main() {
             "manifest_hash",
             Json::str(format!("{:#018x}", manifest_hash())),
         ),
+        ("host", stats::host_json()),
         ("smoke", Json::Bool(flags.smoke)),
         ("seed", Json::num(flags.seed)),
         ("clients", Json::num(flags.clients as u64)),

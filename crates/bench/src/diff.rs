@@ -94,6 +94,30 @@ pub fn diff(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<String>
     }
 }
 
+/// The core count a document's `host` section records, if any.
+pub fn host_cores(doc: &Json) -> Option<u64> {
+    doc.get("host")?.get("cores")?.as_u64()
+}
+
+/// A warning when the two runs' host core counts differ or either side
+/// does not record one: parallel phases scale with cores, so such a
+/// comparison can mislead. A warning only — it never counts as a
+/// regression and changes no threshold.
+pub fn host_warning(baseline: &Json, fresh: &Json) -> Option<String> {
+    match (host_cores(baseline), host_cores(fresh)) {
+        (Some(b), Some(f)) if b == f => None,
+        (Some(b), Some(f)) => Some(format!(
+            "host core counts differ (baseline {b}, fresh {f}): \
+             parallel speedups and latencies are not like for like"
+        )),
+        _ => Some(
+            "a host core count is missing: cannot tell whether the runs \
+             measured comparable hardware"
+                .to_string(),
+        ),
+    }
+}
+
 /// `fresh > max(floor, baseline × ratio)`, with absent fields never
 /// regressing (a baseline predating a field must not fail every PR).
 fn slower(baseline: Option<f64>, fresh: Option<f64>, ratio: f64, floor: f64) -> bool {
@@ -599,6 +623,34 @@ mod tests {
         );
         assert_eq!(
             diff(&baseline, &without, &Thresholds::default()).unwrap(),
+            vec![] as Vec<String>
+        );
+    }
+
+    fn with_host(mut doc: Json, cores: u64) -> Json {
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.push(("host".to_string(), Json::obj([("cores", Json::num(cores))])));
+        }
+        doc
+    }
+
+    #[test]
+    fn host_core_mismatch_warns_without_regressing() {
+        let two = with_host(corpus_doc(200.0, 4, 0.8), 2);
+        let eight = with_host(corpus_doc(200.0, 4, 0.8), 8);
+        let unrecorded = corpus_doc(200.0, 4, 0.8);
+        assert_eq!(host_cores(&two), Some(2));
+        assert_eq!(host_cores(&unrecorded), None);
+        assert_eq!(host_warning(&two, &two), None);
+        let differ = host_warning(&two, &eight).expect("2 vs 8 cores warns");
+        assert!(differ.contains("baseline 2, fresh 8"), "{differ}");
+        for (baseline, fresh) in [(&unrecorded, &two), (&two, &unrecorded)] {
+            let missing = host_warning(baseline, fresh).expect("a missing count warns");
+            assert!(missing.contains("missing"), "{missing}");
+        }
+        // The warning is no regression: the gate still passes.
+        assert_eq!(
+            diff(&two, &eight, &Thresholds::default()).unwrap(),
             vec![] as Vec<String>
         );
     }

@@ -14,6 +14,15 @@ pub fn round_ms(ms: f64) -> f64 {
     (ms * 1e3).round() / 1e3
 }
 
+/// The measuring host as an artifact section, `{"cores": N}` (`null`
+/// when the platform cannot tell): a parallel phase's numbers mean
+/// something different on a 1-core runner than on an 8-core laptop.
+pub fn host_json() -> Json {
+    let cores =
+        std::thread::available_parallelism().map_or(Json::Null, |n| Json::num(n.get() as u64));
+    Json::obj([("cores", cores)])
+}
+
 /// The `p`-quantile of `samples` by the nearest-rank method (the sample
 /// at rank `⌈p·n⌉`), matching the daemon's histogram convention of never
 /// under-reporting a latency promise. Returns 0 for an empty slice.

@@ -1,40 +1,21 @@
-//! Shared layer-routing engine.
+//! Shared mapper plumbing.
 //!
-//! Every heuristic mapper follows the same skeleton — walk the circuit's
-//! ASAP layers, ask a strategy for a SWAP sequence making the layer's CNOT
-//! pairs adjacent, emit the SWAPs and then the layer's gates (repairing
-//! directions with 4 H) — and differs only in how the SWAP sequence is
-//! chosen. The engine owns that skeleton, reads distances from the
-//! [`DeviceModel`]'s precomputed tables (one BFS per *model*, not one per
-//! `map` call), and prices every insertion with the model's per-edge
-//! costs.
+//! [`run_engine`] is the layer-routing skeleton behind the stochastic
+//! mapper: walk the circuit's ASAP layers, ask the planner for a SWAP
+//! sequence making the layer's CNOT pairs adjacent, emit the SWAPs and
+//! then the layer's gates (repairing directions with 4 H). Distances come
+//! from the [`DeviceModel`]'s precomputed tables (one BFS per *model*,
+//! not one per `map` call), and every insertion is priced with the
+//! model's per-edge costs. [`prepare`] and [`emit_relabeled`] are shared
+//! with the naive mapper.
 
 use std::time::Instant;
 
 use qxmap_arch::{route, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::{asap_layers, Circuit, Gate};
 
+use crate::stochastic::StochasticPlanner;
 use crate::traits::{HeuristicError, HeuristicResult};
-
-/// Chooses SWAP edges making all `pairs` (logical control/target) adjacent
-/// under `layout`. Implementors must return edges of the model's coupling
-/// map; the engine applies them in order.
-pub(crate) trait LayerPlanner {
-    fn plan(
-        &mut self,
-        layout: &Layout,
-        pairs: &[(usize, usize)],
-        model: &DeviceModel,
-    ) -> Result<Vec<(usize, usize)>, HeuristicError>;
-
-    /// Why the planner degraded to its wind-down fallback, if it did —
-    /// read once at the end of the run and surfaced as
-    /// [`HeuristicResult::wound_down`]. Planners without a budget never
-    /// wind down.
-    fn wound_down(&self) -> Option<&'static str> {
-        None
-    }
-}
 
 /// Whether every pair is adjacent (either direction) under `layout`.
 pub(crate) fn all_adjacent(layout: &Layout, pairs: &[(usize, usize)], cm: &CouplingMap) -> bool {
@@ -45,11 +26,12 @@ pub(crate) fn all_adjacent(layout: &Layout, pairs: &[(usize, usize)], cm: &Coupl
     })
 }
 
-/// Runs the engine with the given planner.
+/// Routes `circuit` layer by layer, taking each layer's SWAPs from
+/// `planner`, which must return edges of the model's coupling map.
 pub(crate) fn run_engine(
     circuit: &Circuit,
     model: &DeviceModel,
-    planner: &mut dyn LayerPlanner,
+    planner: &mut StochasticPlanner,
 ) -> Result<HeuristicResult, HeuristicError> {
     let start = Instant::now();
     let cm = model.coupling_map();
@@ -76,7 +58,7 @@ pub(crate) fn run_engine(
         if !pairs.is_empty() && !all_adjacent(&layout, &pairs, cm) {
             let plan = planner.plan(&layout, &pairs, model)?;
             for (a, b) in plan {
-                route::emit_swap(&mut out, cm, a, b).expect("planners must return coupling edges");
+                route::emit_swap(&mut out, cm, a, b).expect("the planner returns coupling edges");
                 layout.swap_phys(a, b);
                 swaps += 1;
                 model_cost += u64::from(model.swap_cost(a, b).expect("coupling edge"));

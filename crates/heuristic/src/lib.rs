@@ -9,8 +9,6 @@
 //!   perturbed distance matrix, best of several trials. Like the
 //!   original, it is probabilistic; Table 1 reports the minimum over 5
 //!   runs.
-//! * [`AStarMapper`] — an A*-search per-layer mapper in the spirit of
-//!   Zulehner, Paler & Wille (reference \[22\]).
 //! * [`SabreMapper`] — a SABRE-style lookahead mapper with reverse-pass
 //!   layout seeding (Li, Ding & Xie, reference \[13\]).
 //! * [`NaiveMapper`] — shortest-path SWAP chains per gate with no
@@ -22,11 +20,11 @@
 //! [`Mapper::map_model`]: distances come from the
 //! [`qxmap_arch::DeviceModel`]'s precomputed tables (no per-call BFS) and
 //! insertions are priced with its per-edge costs
-//! ([`HeuristicResult::model_cost`]). A*, SABRE and the stochastic mapper
-//! additionally observe wall-clock deadlines and cooperative stop flags
-//! (`with_deadline` / `with_stop`), degrading to cheap deterministic
-//! routing — never to invalid output — when a racing supervisor cancels
-//! them.
+//! ([`HeuristicResult::model_cost`]). SABRE and the stochastic mapper
+//! additionally observe wall-clock deadlines (`with_deadline`), and SABRE
+//! a racing supervisor's cooperative stop flag (`with_stop`); both
+//! degrade to cheap routing — never to invalid output — when a budget
+//! fires.
 //!
 //! ```
 //! use qxmap_arch::devices;
@@ -43,14 +41,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod astar;
 mod engine;
 mod naive;
 mod sabre;
 mod stochastic;
 mod traits;
 
-pub use astar::AStarMapper;
 pub use naive::NaiveMapper;
 pub use sabre::SabreMapper;
 pub use stochastic::StochasticSwapMapper;

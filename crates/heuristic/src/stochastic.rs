@@ -8,8 +8,6 @@
 //! the paper ran it 5 times per benchmark and reports the observed
 //! minimum, which the harness reproduces by varying [`StochasticSwapMapper::with_seed`].
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use qxmap_arch::{DeviceModel, Layout};
@@ -17,17 +15,17 @@ use qxmap_circuit::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{all_adjacent, run_engine, LayerPlanner};
+use crate::engine::{all_adjacent, run_engine};
 use crate::traits::{HeuristicError, HeuristicResult, Mapper, StopCheck};
 
 /// The stochastic swap mapper.
 ///
 /// The mapper is deadline-aware: [`StochasticSwapMapper::with_deadline`]
-/// and [`StochasticSwapMapper::with_stop`] are polled *between per-layer
-/// trials*. When either fires, every remaining layer takes its first
-/// trial's plan instead of the best of `trials` — the output stays a
-/// complete, hardware-legal circuit (quality degrades, validity never
-/// does) and the run winds down within one trial's latency.
+/// is polled *between per-layer trials*. Once it fires, every remaining
+/// layer takes its first trial's plan instead of the best of `trials` —
+/// the output stays a complete, hardware-legal circuit (quality
+/// degrades, validity never does) and the run winds down within one
+/// trial's latency.
 ///
 /// ```
 /// use qxmap_arch::devices;
@@ -47,7 +45,6 @@ pub struct StochasticSwapMapper {
     trials: usize,
     seed: u64,
     deadline: Option<Duration>,
-    stop: Option<Arc<AtomicBool>>,
 }
 
 impl StochasticSwapMapper {
@@ -64,7 +61,6 @@ impl StochasticSwapMapper {
             trials: 20,
             seed,
             deadline: None,
-            stop: None,
         }
     }
 
@@ -80,15 +76,6 @@ impl StochasticSwapMapper {
     /// bounded by a single trial.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> StochasticSwapMapper {
         self.deadline = deadline;
-        self
-    }
-
-    /// Attaches a cooperative stop flag (e.g. a racing supervisor's
-    /// cancel handle, `qxmap_core::SolveControl::cancel_handle`). Polled
-    /// between per-layer trials, with the same at-least-one-trial
-    /// guarantee as [`StochasticSwapMapper::with_deadline`].
-    pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> StochasticSwapMapper {
-        self.stop = Some(stop);
         self
     }
 }
@@ -112,31 +99,30 @@ impl Mapper for StochasticSwapMapper {
         let mut planner = StochasticPlanner {
             rng: StdRng::seed_from_u64(self.seed),
             trials: self.trials,
-            check: StopCheck::arm(self.deadline, self.stop.clone()),
+            check: StopCheck::arm(self.deadline, None),
         };
         run_engine(circuit, model, &mut planner)
     }
 }
 
-struct StochasticPlanner {
+/// One `map` call's per-layer SWAP chooser, driven by [`run_engine`].
+pub(crate) struct StochasticPlanner {
     rng: StdRng,
     trials: usize,
-    /// The shared deadline/stop wind-down signal, armed at `map` entry.
+    /// The deadline wind-down signal, armed at `map` entry.
     check: StopCheck,
 }
 
 impl StochasticPlanner {
-    fn stopped(&self) -> bool {
-        self.check.stopped()
-    }
-}
-
-impl LayerPlanner for StochasticPlanner {
-    fn wound_down(&self) -> Option<&'static str> {
+    /// Why the planner degraded to one trial per layer, if it did — read
+    /// once at the end of the run as [`HeuristicResult::wound_down`].
+    pub(crate) fn wound_down(&self) -> Option<&'static str> {
         self.check.cause()
     }
 
-    fn plan(
+    /// SWAP edges making all `pairs` (logical control/target) adjacent
+    /// under `layout`: the cheapest of the randomized trials.
+    pub(crate) fn plan(
         &mut self,
         layout: &Layout,
         pairs: &[(usize, usize)],
@@ -162,10 +148,10 @@ impl LayerPlanner for StochasticPlanner {
         let mut best: Option<(u64, Vec<(usize, usize)>)> = None;
 
         for trial in 0..self.trials {
-            // Deadline/stop observance between trials: the first trial of
+            // Deadline observance between trials: the first trial of
             // every layer always runs (the plan must exist for the output
             // to be valid), later ones are skipped once a budget fires.
-            if trial > 0 && self.stopped() {
+            if trial > 0 && self.check.stopped() {
                 break;
             }
             // Perturbed distance matrix: dist · (1 + small noise), as the
@@ -326,27 +312,26 @@ mod tests {
     }
 
     #[test]
-    fn pre_set_stop_flag_skips_extra_trials() {
+    fn expired_deadline_skips_extra_trials() {
         let cm = devices::ibm_qx4();
         let c = paper_example();
-        let flag = Arc::new(AtomicBool::new(true));
-        let stopped = StochasticSwapMapper::with_seed(3)
+        let expired = StochasticSwapMapper::with_seed(3)
             .with_trials(50)
-            .with_stop(Arc::clone(&flag))
+            .with_deadline(Some(Duration::ZERO))
             .map(&c, &cm)
             .unwrap();
-        // With the flag raised from the start, the run degenerates to one
-        // trial per layer — identical to a single-trial run.
+        // With the deadline spent from the start, the run degenerates to
+        // one trial per layer — identical to a single-trial run.
         let single = StochasticSwapMapper::with_seed(3)
             .with_trials(1)
             .map(&c, &cm)
             .unwrap();
-        assert_eq!(stopped.mapped, single.mapped);
-        // A lowered flag restores the full (deterministic) search.
-        flag.store(false, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(expired.mapped, single.mapped);
+        assert_eq!(expired.wound_down, Some("deadline"));
+        // A generous deadline keeps the full (deterministic) search.
         let full = StochasticSwapMapper::with_seed(3)
             .with_trials(50)
-            .with_stop(flag)
+            .with_deadline(Some(Duration::from_secs(600)))
             .map(&c, &cm)
             .unwrap();
         let reference = StochasticSwapMapper::with_seed(3)
@@ -354,6 +339,7 @@ mod tests {
             .map(&c, &cm)
             .unwrap();
         assert_eq!(full.mapped, reference.mapped);
+        assert_eq!(full.wound_down, None);
     }
 
     #[test]

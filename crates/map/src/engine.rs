@@ -5,9 +5,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use qxmap_core::{EncodingStats, ExactMapper, MapperConfig, SolveControl, MAX_EXACT_QUBITS};
-use qxmap_heuristic::{
-    AStarMapper, HeuristicResult, Mapper, NaiveMapper, SabreMapper, StochasticSwapMapper, StopCheck,
-};
+use qxmap_heuristic::{HeuristicResult, Mapper, NaiveMapper, SabreMapper, StochasticSwapMapper};
 use qxmap_sat::MinimizeOptions;
 
 use crate::cache::SolveCache;
@@ -192,8 +190,6 @@ impl Engine for ExactEngine {
 pub enum Baseline {
     /// Per-gate shortest-path chains, no lookahead.
     Naive,
-    /// Per-layer A* search (reference \[22\] of the paper).
-    AStar,
     /// SABRE-style lookahead (reference \[13\]).
     Sabre,
     /// Qiskit-0.4-style stochastic swap (reference \[12\]); best of
@@ -205,7 +201,7 @@ pub enum Baseline {
     },
 }
 
-/// Any of the four heuristic baselines behind the unified surface.
+/// Any of the three heuristic baselines behind the unified surface.
 ///
 /// Heuristics carry no minimality proof: `proved_optimal` is only set
 /// when the modelled objective is zero (costs are non-negative, so
@@ -214,11 +210,11 @@ pub enum Baseline {
 /// runs fail.
 ///
 /// The stochastic baseline is deadline-aware: its seeded trials run on a
-/// scoped worker pool, the pool polls [`MapRequest::with_deadline`] (and,
-/// under a racing [`crate::Portfolio`], the shared cancel flag) between
-/// trials, and each trial winds itself down per layer once the budget
-/// fires. At least one trial always completes, so a deadline degrades
-/// quality — never validity — and is honored within one trial's latency.
+/// scoped worker pool, the pool polls [`MapRequest::with_deadline`]
+/// between trials, and each trial winds itself down per layer once the
+/// deadline fires. At least one trial always completes, so a deadline
+/// degrades quality — never validity — and is honored within one trial's
+/// latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeuristicEngine {
     baseline: Baseline,
@@ -229,13 +225,6 @@ impl HeuristicEngine {
     pub fn naive() -> HeuristicEngine {
         HeuristicEngine {
             baseline: Baseline::Naive,
-        }
-    }
-
-    /// The A*-search baseline.
-    pub fn astar() -> HeuristicEngine {
-        HeuristicEngine {
-            baseline: Baseline::AStar,
         }
     }
 
@@ -263,8 +252,8 @@ impl HeuristicEngine {
 
 impl HeuristicEngine {
     /// The shared implementation behind [`Engine::run`]: `control`, when
-    /// present, is the racing supervisor's handle whose cancel flag stops
-    /// stochastic trials early (the [`crate::Portfolio`] passes its own).
+    /// present, is the racing supervisor's handle whose cancel flag winds
+    /// SABRE down early (the [`crate::Portfolio`] passes its own).
     pub(crate) fn run_inner(
         &self,
         request: &MapRequest,
@@ -277,13 +266,6 @@ impl HeuristicEngine {
         let mut span = trace.span(self.name());
         let result = match self.baseline {
             Baseline::Naive => NaiveMapper::new().map_model(circuit, model)?,
-            Baseline::AStar => {
-                let mut mapper = AStarMapper::new().with_deadline(request.options().deadline);
-                if let Some(cancel) = cancel {
-                    mapper = mapper.with_stop(cancel);
-                }
-                mapper.map_model(circuit, model)?
-            }
             Baseline::Sabre => {
                 // Lookahead sized to the device's statistics (diameter,
                 // cost skew) — a pure function of the model already in
@@ -296,7 +278,7 @@ impl HeuristicEngine {
                 }
                 mapper.map_model(circuit, model)?
             }
-            Baseline::Stochastic { trials } => run_stochastic_pool(request, trials, control)?,
+            Baseline::Stochastic { trials } => run_stochastic_pool(request, trials)?,
         };
         span.counter("model_cost", result.model_cost);
         if let Some(reason) = result.wound_down {
@@ -326,7 +308,6 @@ impl Engine for HeuristicEngine {
     fn name(&self) -> &str {
         match self.baseline {
             Baseline::Naive => "naive",
-            Baseline::AStar => "astar",
             Baseline::Sabre => "sabre",
             Baseline::Stochastic { .. } => "stochastic",
         }
@@ -349,22 +330,15 @@ impl Engine for HeuristicEngine {
 /// the sequential loop did; results land in per-trial slots so the
 /// winner selection stays deterministic whenever every trial completes.
 ///
-/// Deadline/cancellation observance: trial 0 always runs (a valid answer
-/// must exist), later trials are skipped once the request's deadline or
-/// the supervisor's cancel flag fires, and every trial additionally winds
-/// itself down per layer through the mapper's own deadline/stop hooks.
-fn run_stochastic_pool(
-    request: &MapRequest,
-    trials: u64,
-    control: Option<&SolveControl>,
-) -> Result<HeuristicResult, MapperError> {
+/// Deadline observance: trial 0 always runs (a valid answer must
+/// exist), later trials are skipped once the request's deadline fires,
+/// and every trial additionally winds itself down per layer through the
+/// mapper's own deadline hook.
+fn run_stochastic_pool(request: &MapRequest, trials: u64) -> Result<HeuristicResult, MapperError> {
     let circuit = request.circuit();
     let model = request.device_model();
     let cutoff = request.options().deadline.map(|d| Instant::now() + d);
-    let cancel = control.map(SolveControl::cancel_handle);
-    // The planners' shared wind-down predicate, polled between trials.
-    let check = StopCheck::arm(request.options().deadline, cancel.clone());
-    let stopped = || check.stopped();
+    let stopped = || cutoff.is_some_and(|c| Instant::now() >= c);
 
     let trials_usize = usize::try_from(trials).unwrap_or(usize::MAX);
     let workers = std::thread::available_parallelism()
@@ -390,13 +364,10 @@ fn run_stochastic_pool(
                 if t >= trials_usize || (t > 0 && stopped()) {
                     break;
                 }
-                let mut mapper =
+                let result =
                     StochasticSwapMapper::with_seed(request.options().seed.wrapping_add(t as u64))
-                        .with_deadline(cutoff.map(|c| c.saturating_duration_since(Instant::now())));
-                if let Some(cancel) = &cancel {
-                    mapper = mapper.with_stop(cancel.clone());
-                }
-                let result = mapper.map_model(circuit, model);
+                        .with_deadline(cutoff.map(|c| c.saturating_duration_since(Instant::now())))
+                        .map_model(circuit, model);
                 completed
                     .lock()
                     .expect("no panics under the lock")
@@ -480,7 +451,6 @@ mod tests {
         let request = MapRequest::new(paper_example(), devices::ibm_qx4());
         for engine in [
             HeuristicEngine::naive(),
-            HeuristicEngine::astar(),
             HeuristicEngine::sabre(),
             HeuristicEngine::stochastic(5),
         ] {

@@ -13,8 +13,8 @@
 //!   (`"before_every_gate"`, `"disjoint_qubits"`, `"odd_gates"`,
 //!   `"qubit_triangle"`, `{"window": k}`, `{"custom": [...]}`),
 //!   `subsets` (bool), `upper_bound`, `seed`, and `windowed` — `true`
-//!   (default options) or `{"max_window_qubits": k, "sat_bridges": b}`
-//!   to answer through the window-decomposed engine
+//!   (default options) or `{"max_window_qubits": k}` to answer through
+//!   the window-decomposed engine
 //!   ([`qxmap_window::WindowedEngine`]), whose response carries a
 //!   `windows` array of per-window optimality certificates. When the
 //!   field is *absent*, the server auto-selects: a best-effort request
@@ -479,10 +479,9 @@ fn parse_payload(value: &Json, id: &Option<Json>) -> Result<(Ingest, CircuitSkel
     }
 }
 
-/// `true`, `false`, or `{"max_window_qubits": k, "sat_bridges": b}` —
-/// an *absent* field never reaches here (it parses to
-/// [`WindowedChoice::Auto`]), so `false` is a recorded veto, not a
-/// default.
+/// `true`, `false`, or `{"max_window_qubits": k}` — an *absent* field
+/// never reaches here (it parses to [`WindowedChoice::Auto`]), so
+/// `false` is a recorded veto, not a default.
 fn parse_windowed(value: &Json) -> Result<WindowedChoice, String> {
     if let Some(on) = value.as_bool() {
         return Ok(if on {
@@ -495,7 +494,7 @@ fn parse_windowed(value: &Json) -> Result<WindowedChoice, String> {
         return Err("\"windowed\" must be a boolean or an options object".to_string());
     };
     for (key, _) in pairs {
-        if !["max_window_qubits", "sat_bridges"].contains(&key.as_str()) {
+        if key != "max_window_qubits" {
             return Err(format!("unknown windowed field {key:?}"));
         }
     }
@@ -507,9 +506,6 @@ fn parse_windowed(value: &Json) -> Result<WindowedChoice, String> {
             .ok_or(format!(
                 "\"max_window_qubits\" must be an integer in 2..={MAX_EXACT_QUBITS}"
             ))?;
-    }
-    if let Some(b) = value.get("sat_bridges") {
-        options.sat_bridges = b.as_bool().ok_or("\"sat_bridges\" must be a boolean")?;
     }
     Ok(WindowedChoice::On(options))
 }
@@ -1022,15 +1018,14 @@ cx q[1], q[2];
         };
         assert_eq!(job.windowed, WindowedChoice::Off);
         assert!(job.windowed_options().is_none());
-        let line = map_line(",\"windowed\":{\"max_window_qubits\":4,\"sat_bridges\":true}");
+        let line = map_line(",\"windowed\":{\"max_window_qubits\":4}");
         let Request::Map(job) = parse_request(&line).unwrap() else {
             panic!("not a map request");
         };
         assert_eq!(
             job.windowed,
             WindowedChoice::On(WindowOptions {
-                max_window_qubits: 4,
-                sat_bridges: true,
+                max_window_qubits: 4
             })
         );
         for (extra, needle) in [
@@ -1043,7 +1038,10 @@ cx q[1], q[2];
                 ",\"windowed\":{\"window_qubits\":4}",
                 "unknown windowed field",
             ),
-            (",\"windowed\":{\"sat_bridges\":3}", "sat_bridges"),
+            (
+                ",\"windowed\":{\"sat_bridges\":true}",
+                "unknown windowed field",
+            ),
         ] {
             let e = parse_request(&map_line(extra)).unwrap_err();
             assert_eq!(e.code, "bad_request", "{extra}");

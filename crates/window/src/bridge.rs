@@ -2,35 +2,29 @@
 //!
 //! After a window's local solve, its logical qubits must sit on specific
 //! physical slots of the window's region before the window's mapped
-//! gates can be emitted. The bridge realizes that requirement as a SWAP
-//! chain on the full device:
+//! gates can be emitted. The bridge realizes that partial requirement
+//! (placed qubits → their target slots, reserved slots → carrier wires)
+//! as SWAPs on the full device:
 //!
-//! 1. the partial requirement (placed qubits → their target slots,
-//!    reserved slots → carrier wires) is completed into a full
-//!    permutation of the device's wires — displaced bystanders get the
-//!    nearest vacated slots, everything else stays put;
-//! 2. the permutation is routed **token-style** by default: a greedy
-//!    phase takes the best potential-decreasing edge swap (potential =
-//!    summed cost-weighted [`DeviceModel::swap_distances`] of every
-//!    misplaced wire to its destination) until no single swap helps,
-//!    then a BFS-spanning-tree leaf-elimination phase finishes the
-//!    stragglers — structurally guaranteed to terminate;
-//! 3. with the SAT-optimal opt-in, permutations whose support fits a
-//!    connected subgraph of at most [`qxmap_core::MAX_EXACT_QUBITS`]
-//!    qubits are instead realized by the provably cheapest sequence from
-//!    the model's [`DeviceModel::costed_table`].
+//! 1. **chains**: each move, farthest first, is a swap chain along the
+//!    cheapest path that avoids already-settled slots;
+//! 2. **residual fallback**: if the chains stop converging, what is left
+//!    is completed into a full permutation of the device's wires
+//!    (displaced bystanders take the nearest vacated slots, everything
+//!    else stays put) and routed **token-style**: a greedy phase takes
+//!    the best potential-decreasing edge swap (potential = summed
+//!    cost-weighted [`DeviceModel::swap_distances`] of every misplaced
+//!    wire to its destination) until no single swap helps, then a
+//!    BFS-spanning-tree leaf-elimination phase finishes the stragglers —
+//!    structurally guaranteed to terminate.
 //!
 //! Every emitted SWAP is a full [`qxmap_arch::route::emit_swap`] unitary
 //! (3 gates on bidirectional edges, 7 on unidirectional ones), so
 //! untracked carrier wires are permuted losslessly and the stitched
 //! circuit stays semantically faithful.
 
-use std::collections::BTreeSet;
-use std::time::Duration;
-
-use qxmap_arch::{route, DeviceModel, Permutation};
+use qxmap_arch::{route, DeviceModel};
 use qxmap_circuit::Circuit;
-use qxmap_core::MAX_EXACT_QUBITS;
 
 /// Mutable stitching state threaded through the whole windowed run.
 #[derive(Debug, Clone)]
@@ -89,14 +83,6 @@ pub(crate) struct BridgeOutcome {
 /// bystanders one hop, instead of a full device permutation that would
 /// have to put every disturbed wire back.
 ///
-/// `slack` is the request's *live* remaining deadline budget at the
-/// moment this bridge is routed (`None` when the request carries no
-/// deadline). The SAT-optimal path is an opt-in luxury: once the budget
-/// is exhausted, spending SAT time on a bridge would blow the deadline
-/// the per-window split was supposed to protect, so an exhausted slack
-/// falls back to the always-fast chain router even when `sat_bridges`
-/// is set.
-///
 /// The device must be connected (the engine guards this before
 /// stitching).
 pub(crate) fn route_bridge(
@@ -105,20 +91,13 @@ pub(crate) fn route_bridge(
     state: &mut StitchState,
     moves: &[(usize, usize)],
     reserved: &[usize],
-    sat_bridges: bool,
-    slack: Option<Duration>,
 ) -> BridgeOutcome {
     #[cfg(debug_assertions)]
     let expected: Vec<(usize, Option<usize>)> =
         moves.iter().map(|&(f, t)| (t, state.occ[f])).collect();
 
     let mut outcome = BridgeOutcome::default();
-    let affordable = sat_bridges && slack.is_none_or(|s| !s.is_zero());
-    let routed_optimally =
-        affordable && route_sat(out, model, state, moves, reserved, &mut outcome);
-    if !routed_optimally {
-        route_chains(out, model, state, moves, reserved, &mut outcome);
-    }
+    route_chains(out, model, state, moves, reserved, &mut outcome);
 
     #[cfg(debug_assertions)]
     {
@@ -336,105 +315,6 @@ fn complete_permutation(
     sigma
 }
 
-/// The SAT-optimal bridge: when the permutation's support fits a
-/// connected subgraph of at most [`MAX_EXACT_QUBITS`] qubits, realize it
-/// with the provably cheapest SWAP sequence from the model's costed
-/// table. Returns `false` (emitting nothing) when the boundary is too
-/// large, leaving the token router to handle it.
-fn route_sat(
-    out: &mut Circuit,
-    model: &DeviceModel,
-    state: &mut StitchState,
-    moves: &[(usize, usize)],
-    reserved: &[usize],
-    outcome: &mut BridgeOutcome,
-) -> bool {
-    let sigma = complete_permutation(model, state, moves, reserved);
-    let support: Vec<usize> = (0..sigma.len()).filter(|&p| sigma[p] != p).collect();
-    if support.is_empty() {
-        return true; // nothing to route
-    }
-    let Some(subset) = connected_cover(model, &support, MAX_EXACT_QUBITS) else {
-        return false;
-    };
-    // The support is closed under sigma (bijectivity) and cover
-    // extensions are fixed points, so sigma restricts to the subset.
-    let image: Vec<usize> = subset
-        .iter()
-        .map(|&p| {
-            subset
-                .binary_search(&sigma[p])
-                .expect("sigma is closed over the cover")
-        })
-        .collect();
-    let table = model.costed_table(&subset);
-    let Some(seq) = table.sequence(&Permutation::from_image(image)) else {
-        return false;
-    };
-    for &(la, lb) in &seq.to_vec() {
-        emit(out, model, state, outcome, subset[la], subset[lb]);
-    }
-    true
-}
-
-/// Grows `support` into a connected vertex set of at most `max` qubits
-/// by repeatedly splicing in a shortest connecting path, or `None` if it
-/// cannot be done within the cap.
-fn connected_cover(model: &DeviceModel, support: &[usize], max: usize) -> Option<Vec<usize>> {
-    if support.len() > max {
-        return None;
-    }
-    let cm = model.coupling_map();
-    let mut set: BTreeSet<usize> = support.iter().copied().collect();
-    loop {
-        let members: Vec<usize> = set.iter().copied().collect();
-        // Component of the first member within the induced subgraph.
-        let mut comp = BTreeSet::new();
-        let mut stack = vec![members[0]];
-        comp.insert(members[0]);
-        while let Some(v) = stack.pop() {
-            for w in cm.neighbors(v) {
-                if set.contains(&w) && comp.insert(w) {
-                    stack.push(w);
-                }
-            }
-        }
-        if comp.len() == set.len() {
-            break;
-        }
-        // BFS from the component through the full graph to the nearest
-        // other member; add the path's interior.
-        let m = cm.num_qubits();
-        let mut prev: Vec<Option<usize>> = vec![None; m];
-        let mut visited = vec![false; m];
-        let mut queue: std::collections::VecDeque<usize> = comp.iter().copied().collect();
-        comp.iter().for_each(|&v| visited[v] = true);
-        let mut found = None;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for w in cm.neighbors(v) {
-                if !visited[w] {
-                    visited[w] = true;
-                    prev[w] = Some(v);
-                    if set.contains(&w) {
-                        found = Some(w);
-                        break 'bfs;
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        let mut v = found?; // None: disconnected device — no cover.
-        while let Some(p) = prev[v] {
-            set.insert(v);
-            v = p;
-        }
-        if set.len() > max {
-            return None;
-        }
-    }
-    Some(set.into_iter().collect())
-}
-
 /// Token routing: greedy potential-decreasing edge swaps, finished by
 /// BFS-spanning-tree leaf elimination for guaranteed termination.
 fn route_tokens(
@@ -572,7 +452,9 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qxmap_arch::{devices, DeviceModel};
+    use qxmap_circuit::Gate;
 
     fn paper_model(name: &str) -> DeviceModel {
         DeviceModel::paper(devices::by_name(name).unwrap())
@@ -586,7 +468,7 @@ mod tests {
         }
         let mut out = Circuit::new(model.num_qubits());
         let before: Vec<Option<usize>> = moves.iter().map(|&(f, _)| state.occ[f]).collect();
-        let outcome = route_bridge(&mut out, model, &mut state, moves, &[], false, None);
+        let outcome = route_bridge(&mut out, model, &mut state, moves, &[]);
         for (&(_, t), q) in moves.iter().zip(before) {
             assert_eq!(state.occ[t], q);
         }
@@ -615,13 +497,13 @@ mod tests {
         state.occ[2] = Some(0);
         state.pos[0] = Some(2);
         let mut out = Circuit::new(4);
-        route_bridge(&mut out, &model, &mut state, &[], &[2], false, None);
+        route_bridge(&mut out, &model, &mut state, &[], &[2]);
         assert_eq!(state.occ[2], None);
         assert_eq!(state.pos[0], Some(1)); // displaced to the nearest free slot
     }
 
     #[test]
-    fn sat_bridge_matches_the_requirement() {
+    fn routes_a_three_cycle_on_a_ring() {
         let model = paper_model("ring-5");
         let mut state = StitchState::new(5, 5);
         for q in 0..3 {
@@ -629,51 +511,142 @@ mod tests {
             state.pos[q] = Some(q);
         }
         let mut out = Circuit::new(5);
-        let outcome = route_bridge(
-            &mut out,
-            &model,
-            &mut state,
-            &[(0, 1), (1, 2), (2, 0)],
-            &[],
-            true,
-            Some(Duration::from_secs(60)),
-        );
+        let outcome = route_bridge(&mut out, &model, &mut state, &[(0, 1), (1, 2), (2, 0)], &[]);
         assert_eq!(state.occ[1], Some(0));
         assert_eq!(state.occ[2], Some(1));
         assert_eq!(state.occ[0], Some(2));
         assert!(outcome.swaps >= 2);
     }
 
-    #[test]
-    fn exhausted_slack_falls_back_to_chain_routing() {
-        // The same 3-cycle requirement, once with the budget gone (the
-        // SAT opt-in must yield) and once with sat_bridges off: both
-        // must route identically — and still satisfy every move.
-        let model = paper_model("ring-5");
-        let run = |sat_bridges: bool, slack: Option<Duration>| {
-            let mut state = StitchState::new(5, 5);
-            for q in 0..3 {
-                state.occ[q] = Some(q);
-                state.pos[q] = Some(q);
+    /// Library devices with unidirectional edges (qx4, qx5, tokyo) and
+    /// bidirectional generated lattices, priced by their
+    /// hardware-derived models (3 per bidirectional SWAP, 7 otherwise).
+    const DEVICES: [&str; 6] = ["qx4", "qx5", "tokyo", "heavy-hex-1", "grid-3x4", "ring-7"];
+
+    fn model(device: usize) -> DeviceModel {
+        DeviceModel::new(devices::by_name(DEVICES[device]).expect("library device"))
+    }
+
+    fn shuffled(m: usize, rng: &mut proptest::test_runner::TestRng) -> Vec<usize> {
+        let mut v: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            v.swap(i, rng.index(i + 1));
+        }
+        v
+    }
+
+    /// A library device and a uniformly random permutation of its wires.
+    fn device_and_permutation() -> impl Strategy<Value = (usize, Vec<usize>)> {
+        (0..DEVICES.len()).prop_perturb(|d, mut rng| (d, shuffled(model(d).num_qubits(), &mut rng)))
+    }
+
+    /// A random partial bridge requirement on a library device:
+    /// `occupants` as `(logical, slot)`, `moves` of some occupants to
+    /// distinct targets, and `reserved` slots apart from the targets —
+    /// no more than the carriers (unoccupied slots) can fill.
+    #[derive(Debug, Clone)]
+    struct Requirement {
+        device: usize,
+        occupants: Vec<(usize, usize)>,
+        moves: Vec<(usize, usize)>,
+        reserved: Vec<usize>,
+    }
+
+    fn requirement() -> impl Strategy<Value = Requirement> {
+        (0..DEVICES.len()).prop_perturb(|device, mut rng| {
+            let m = model(device).num_qubits();
+            let placed = rng.index(m);
+            let sources = shuffled(m, &mut rng);
+            let targets = shuffled(m, &mut rng);
+            let movers = rng.index(placed + 1);
+            let reserved = rng.index(m - placed + 1);
+            Requirement {
+                device,
+                occupants: sources[..placed].iter().copied().enumerate().collect(),
+                moves: (0..movers).map(|q| (sources[q], targets[q])).collect(),
+                reserved: targets[movers..movers + reserved].to_vec(),
             }
-            let mut out = Circuit::new(5);
-            let outcome = route_bridge(
-                &mut out,
-                &model,
-                &mut state,
-                &[(0, 1), (1, 2), (2, 0)],
-                &[],
-                sat_bridges,
-                slack,
-            );
-            assert_eq!(state.occ[1], Some(0));
-            assert_eq!(state.occ[2], Some(1));
-            assert_eq!(state.occ[0], Some(2));
-            (out, outcome.swaps, outcome.cost)
-        };
-        let (tight, tight_swaps, tight_cost) = run(true, Some(Duration::ZERO));
-        let (chain, chain_swaps, chain_cost) = run(false, None);
-        assert_eq!(tight, chain, "zero slack must take the chain path");
-        assert_eq!((tight_swaps, tight_cost), (chain_swaps, chain_cost));
+        })
+    }
+
+    /// The SWAPs a bridge emitted, read back off its circuit: each
+    /// [`route::emit_swap`] is exactly three CNOTs on one coupled pair
+    /// (plus H gates when the edge is unidirectional), and nothing else
+    /// in a bridge emits a CNOT. Asserts every CNOT rides a coupling
+    /// edge in its native direction.
+    fn emitted_swaps(model: &DeviceModel, out: &Circuit) -> Vec<(usize, usize)> {
+        let cm = model.coupling_map();
+        let cnots: Vec<(usize, usize)> = out
+            .gates()
+            .iter()
+            .filter_map(|g| match *g {
+                Gate::Cnot { control, target } => Some((control, target)),
+                _ => None,
+            })
+            .collect();
+        assert!(cnots.iter().all(|&(c, t)| cm.has_edge(c, t)), "{cnots:?}");
+        assert_eq!(cnots.len() % 3, 0, "a SWAP is three CNOTs");
+        cnots
+            .chunks(3)
+            .map(|swap| {
+                let pair = |(a, b): (usize, usize)| (a.min(b), a.max(b));
+                assert!(swap.iter().all(|&c| pair(c) == pair(swap[0])), "{swap:?}");
+                pair(swap[0])
+            })
+            .collect()
+    }
+
+    fn assert_outcome_prices_swaps(model: &DeviceModel, out: &Circuit, outcome: BridgeOutcome) {
+        let swaps = emitted_swaps(model, out);
+        assert_eq!(outcome.swaps as usize, swaps.len());
+        let cost: u64 = swaps
+            .iter()
+            .map(|&(a, b)| u64::from(model.swap_cost(a, b).expect("coupling edge")))
+            .sum();
+        assert_eq!(outcome.cost, cost);
+    }
+
+    proptest! {
+        #[test]
+        fn token_routing_realizes_any_permutation((device, sigma) in device_and_permutation()) {
+            let model = model(device);
+            let m = model.num_qubits();
+            let mut state = StitchState::new(0, m);
+            let mut out = Circuit::new(m);
+            let mut outcome = BridgeOutcome::default();
+            route_tokens(&mut out, &model, &mut state, &sigma, &mut outcome);
+            // The token that started on slot i is the wire whose
+            // provenance is i: it must now sit on sigma[i].
+            for (i, &target) in sigma.iter().enumerate() {
+                assert_eq!(state.origin[target], i, "{}: token {i}", DEVICES[device]);
+            }
+            assert_outcome_prices_swaps(&model, &out, outcome);
+        }
+
+        #[test]
+        fn bridges_meet_every_partial_requirement(req in requirement()) {
+            let model = model(req.device);
+            let m = model.num_qubits();
+            let mut state = StitchState::new(m, m);
+            for &(q, p) in &req.occupants {
+                state.occ[p] = Some(q);
+                state.pos[q] = Some(p);
+            }
+            let movers: Vec<Option<usize>> = req.moves.iter().map(|&(f, _)| state.occ[f]).collect();
+            let mut out = Circuit::new(m);
+            let outcome = route_bridge(&mut out, &model, &mut state, &req.moves, &req.reserved);
+            for (&(_, t), q) in req.moves.iter().zip(movers) {
+                assert_eq!(state.occ[t], q, "{req:?}: move target {t}");
+            }
+            for &s in &req.reserved {
+                assert_eq!(state.occ[s], None, "{req:?}: reserved slot {s}");
+            }
+            for (q, p) in state.pos.iter().enumerate() {
+                if let Some(p) = *p {
+                    assert_eq!(state.occ[p], Some(q), "{req:?}: occupancy drifted");
+                }
+            }
+            assert_outcome_prices_swaps(&model, &out, outcome);
+        }
     }
 }

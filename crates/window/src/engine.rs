@@ -27,18 +27,12 @@ pub struct WindowOptions {
     /// `2..=`[`MAX_EXACT_QUBITS`] at run time). Smaller windows solve
     /// faster but stitch more.
     pub max_window_qubits: usize,
-    /// Realize small window-to-window bridges with the provably cheapest
-    /// SWAP sequence from the device's costed table instead of token
-    /// routing. Optimal per bridge, but pays an exhaustive table build
-    /// per distinct boundary subgraph.
-    pub sat_bridges: bool,
 }
 
 impl Default for WindowOptions {
     fn default() -> WindowOptions {
         WindowOptions {
             max_window_qubits: DEFAULT_WINDOW_QUBITS,
-            sat_bridges: false,
         }
     }
 }
@@ -368,23 +362,7 @@ impl WindowedEngine {
                     }
                 }
             }
-            // The SAT-bridge opt-in reads the request's *live* deadline
-            // slack: the per-window budget split only covers the local
-            // solves, so a late-running stitch must not spend SAT time
-            // the deadline no longer has.
-            let slack = request
-                .options()
-                .deadline
-                .map(|d| d.saturating_sub(started.elapsed()));
-            let outcome = bridge::route_bridge(
-                &mut out,
-                model,
-                &mut state,
-                &moves,
-                &reserved,
-                self.options.sat_bridges,
-                slack,
-            );
+            let outcome = bridge::route_bridge(&mut out, model, &mut state, &moves, &reserved);
             for (q, t) in fresh {
                 materialize(&mut state, &mut claimed, q, t);
             }
@@ -500,11 +478,7 @@ impl Engine for WindowedEngine {
     }
 
     fn cache_signature(&self) -> String {
-        format!(
-            "windowed:k{}:b{}",
-            self.options.max_window_qubits,
-            u8::from(self.options.sat_bridges)
-        )
+        format!("windowed:k{}", self.options.max_window_qubits)
     }
 
     fn run(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
@@ -706,22 +680,18 @@ mod tests {
     }
 
     #[test]
-    fn tight_deadlines_route_bridges_without_sat_time() {
-        // A long-range interaction forces a bridge, SAT bridges are
-        // opted in, and the deadline is already effectively spent by
-        // stitch time. The bridge must read the *live* slack — not the
-        // per-window split computed at admission — drop to the chain
-        // router, and still deliver a verifying report.
+    fn spent_deadline_still_bridges_and_verifies() {
+        // A long-range interaction forces a bridge, and the deadline is
+        // already spent by stitch time: the bridges still route and the
+        // report still verifies.
         let mut c = ladder(10);
         c.cx(0, 9);
         let device = devices::linear(12);
         let request =
             MapRequest::new(c.clone(), device.clone()).with_deadline(Duration::from_nanos(1));
-        let engine = WindowedEngine::with_options(WindowOptions {
-            sat_bridges: true,
-            ..WindowOptions::default()
-        });
-        let report = engine.run(&request).expect("deadlines degrade, never fail");
+        let report = WindowedEngine::new()
+            .run(&request)
+            .expect("deadlines degrade, never fail");
         report.verify(&c, &device).unwrap();
         assert!(
             report
@@ -739,7 +709,6 @@ mod tests {
         let a = WindowedEngine::new();
         let b = WindowedEngine::with_options(WindowOptions {
             max_window_qubits: 4,
-            sat_bridges: true,
         });
         assert_ne!(a.cache_signature(), b.cache_signature());
     }

@@ -29,13 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(ExactEngine::new()),
         Box::new(HeuristicEngine::stochastic(5)), // best of 5, as in Table 1
         Box::new(HeuristicEngine::sabre()),
-        Box::new(HeuristicEngine::astar()),
         Box::new(HeuristicEngine::naive()),
     ];
 
     println!(
-        "{:<14} {:>4} {:>6} {:>6} {:>12} {:>8} {:>8} {:>8} {:>8}",
-        "benchmark", "n", "orig", "LB", "exact", "qiskit*", "sabre", "A*", "naive"
+        "{:<14} {:>4} {:>6} {:>6} {:>12} {:>8} {:>8} {:>8}",
+        "benchmark", "n", "orig", "LB", "exact", "qiskit*", "sabre", "naive"
     );
     let mut total_exact_added = 0u64;
     let mut total_stoch_added = 0u64;
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_stoch_added += reports[1].cost.added_gates;
 
         println!(
-            "{:<14} {:>4} {:>6} {:>6} {:>12} {:>8} {:>8} {:>8} {:>8}",
+            "{:<14} {:>4} {:>6} {:>6} {:>12} {:>8} {:>8} {:>8}",
             name,
             circuit.num_qubits(),
             circuit.original_cost(),
@@ -80,7 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reports[1].mapped_cost(),
             reports[2].mapped_cost(),
             reports[3].mapped_cost(),
-            reports[4].mapped_cost(),
         );
     }
     println!(

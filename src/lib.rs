@@ -18,7 +18,7 @@
 //! | [`sat`] | `qxmap-sat` | CDCL solver, encodings, totalizer, minimizer |
 //! | [`core`] | `qxmap-core` | the exact mapper (the paper's contribution) |
 //! | [`qasm`] | `qxmap-qasm` | OpenQASM 2.0 parser/writer |
-//! | [`heuristic`] | `qxmap-heuristic` | stochastic-swap / A* / SABRE / naive baselines |
+//! | [`heuristic`] | `qxmap-heuristic` | stochastic-swap / SABRE / naive baselines |
 //! | [`map`] | `qxmap-map` | **the unified mapping surface**: `MapRequest` → `MapReport` over every engine, portfolio runner, batch entry point |
 //! | [`window`] | `qxmap-window` | window-decomposed mapping past the 8-qubit wall: slice → exact-solve → stitch, with per-window certificates |
 //! | [`serve`] | `qxmap-serve` | **the serving tier**: mapping daemon, JSON wire protocol, crash-safe solve-cache journal |

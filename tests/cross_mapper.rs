@@ -24,7 +24,6 @@ fn test_circuits() -> Vec<Circuit> {
 fn heuristic_engines() -> Vec<(&'static str, HeuristicEngine)> {
     vec![
         ("stochastic", HeuristicEngine::stochastic(1)),
-        ("astar", HeuristicEngine::astar()),
         ("sabre", HeuristicEngine::sabre()),
         ("naive", HeuristicEngine::naive()),
     ]

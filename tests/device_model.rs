@@ -232,15 +232,12 @@ fn fingerprint_identity_governs_cache_hits() {
 /// verified result.
 #[test]
 fn portfolio_skips_dominated_baselines_and_still_verifies() {
-    let skipped = Portfolio::new()
-        .with_stochastic_trials(2)
-        .skipped_baselines(&MapRequest::new(
-            Circuit::new(3),
-            devices::fully_connected(8),
-        ));
+    let skipped = Portfolio::new().skipped_baselines(&MapRequest::new(
+        Circuit::new(3),
+        devices::fully_connected(8),
+    ));
     let engines: Vec<&str> = skipped.iter().map(|(e, _)| *e).collect();
     assert!(engines.contains(&"sabre"), "{engines:?}");
-    assert!(engines.contains(&"stochastic"), "{engines:?}");
 
     let mut circuit = Circuit::new(6);
     for q in 0..6 {
@@ -249,7 +246,6 @@ fn portfolio_skips_dominated_baselines_and_still_verifies() {
     let cm = devices::fully_connected(8);
     let request = MapRequest::new(circuit.clone(), cm.clone());
     let report = Portfolio::new()
-        .with_stochastic_trials(2)
         .run(&request)
         .expect("all-to-all maps everything");
     report.verify(&circuit, &cm).expect("verified");

@@ -22,7 +22,9 @@
 //!   tables in a process-wide cache keyed by the induced subgraph, so
 //!   per-subset exact solves and request batches build each table once.
 //! * [`connected_subsets`] — the Section 4.1 physical-qubit subset
-//!   enumeration with the isolation filter.
+//!   enumeration with the isolation filter, and [`subset_classes`], its
+//!   partition into isomorphism classes of the labelled local models
+//!   (the exact mapper solves one representative per class).
 //! * [`Layout`] — a (partial) assignment of logical to physical qubits.
 //! * [`route`] — emitting hardware-legal SWAP decompositions and
 //!   direction-reversed CNOTs (Fig. 3), with the paper's 7/4 cost model.
@@ -58,5 +60,5 @@ pub use layout::{Layout, LayoutError};
 pub use model::{DeviceModel, DeviceStats};
 pub use perm::Permutation;
 pub use route::CostModel;
-pub use subsets::connected_subsets;
+pub use subsets::{connected_subsets, subset_classes, SubsetClass};
 pub use swaps::{CostedSwapTable, SwapTable, SwapTableCacheStats};

@@ -1,7 +1,11 @@
 //! Property-based tests for permutation algebra, swap tables and layouts.
 
 use proptest::prelude::*;
-use qxmap_arch::{connected_subsets, devices, CouplingMap, Layout, Permutation, SwapTable};
+use proptest::test_runner::TestRng;
+use qxmap_arch::{
+    connected_subsets, devices, subset_classes, CouplingMap, DeviceModel, Layout, Permutation,
+    SwapTable,
+};
 
 fn permutation_strategy(n: usize) -> impl Strategy<Value = Permutation> {
     Just(()).prop_perturb(move |_, mut rng| {
@@ -135,6 +139,125 @@ proptest! {
                 for c in 0..m {
                     prop_assert!(d[a][c] <= d[a][b] + d[b][c]);
                 }
+            }
+        }
+    }
+}
+
+/// A random connected device on 2..=6 qubits (a random spanning tree plus
+/// extra couplings, each one-way or both ways) under the default or the
+/// paper model, with a few SWAP, CNOT and reversal calibrations drawn
+/// from small value sets so that equal labels recur.
+fn calibrated_device_strategy() -> impl Strategy<Value = DeviceModel> {
+    Just(()).prop_perturb(|_, mut rng| {
+        let m = 2 + rng.index(5);
+        fn couple(cm: &mut CouplingMap, a: usize, b: usize, rng: &mut TestRng) {
+            let way = rng.index(3);
+            if way != 1 {
+                cm.add_edge(a, b).expect("distinct in-range qubits");
+            }
+            if way != 0 {
+                cm.add_edge(b, a).expect("distinct in-range qubits");
+            }
+        }
+        let mut cm = CouplingMap::new(m);
+        for v in 1..m {
+            let u = rng.index(v);
+            couple(&mut cm, u, v, &mut rng);
+        }
+        for a in 0..m {
+            for b in a + 1..m {
+                if !cm.connected_either(a, b) && rng.index(4) == 0 {
+                    couple(&mut cm, a, b, &mut rng);
+                }
+            }
+        }
+        let mut model = if rng.index(2) == 0 {
+            DeviceModel::new(cm.clone())
+        } else {
+            DeviceModel::paper(cm.clone())
+        };
+        for (a, b) in cm.undirected_edges() {
+            if rng.index(3) == 0 {
+                model = model.with_swap_cost(a, b, [2, 9][rng.index(2)]);
+            }
+        }
+        let edges: Vec<(usize, usize)> = cm.edges().collect();
+        for (c, t) in edges {
+            if rng.index(4) == 0 {
+                model = model.with_cnot_cost(c, t, [2, 3][rng.index(2)]);
+            }
+            if !cm.has_edge(t, c) && rng.index(4) == 0 {
+                model = model.with_reversal_cost(t, c, [2, 6][rng.index(2)]);
+            }
+        }
+        model
+    })
+}
+
+/// Brute-force canonical form of a labelled local model: the least, over
+/// all relabelings, of its row-major table of (CNOT, reversal, SWAP)
+/// costs per ordered qubit pair.
+fn brute_canonical_form(local: &DeviceModel) -> Vec<(Option<u32>, Option<u32>, Option<u32>)> {
+    fn permutations(prefix: &mut Vec<usize>, n: usize, visit: &mut impl FnMut(&[usize])) {
+        if prefix.len() == n {
+            visit(prefix);
+            return;
+        }
+        for q in 0..n {
+            if !prefix.contains(&q) {
+                prefix.push(q);
+                permutations(prefix, n, visit);
+                prefix.pop();
+            }
+        }
+    }
+    let n = local.num_qubits();
+    let mut best = None;
+    permutations(&mut Vec::new(), n, &mut |relabel| {
+        let form: Vec<_> = relabel
+            .iter()
+            .flat_map(|&a| {
+                relabel.iter().map(move |&b| {
+                    (
+                        local.cnot_cost(a, b),
+                        local.reversal_cost(a, b),
+                        local.swap_cost(a, b),
+                    )
+                })
+            })
+            .collect();
+        if best.as_ref().is_none_or(|b| form < *b) {
+            best = Some(form);
+        }
+    });
+    best.expect("at least the identity relabeling")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `subset_classes` partitions exactly as brute-force canonical forms
+    /// of the subgraph models do, with each class's lowest member as its
+    /// representative and classes in representative order.
+    #[test]
+    fn subset_classes_match_brute_force_canonical_forms(model in calibrated_device_strategy()) {
+        for size in 1..=model.num_qubits() {
+            let subsets = connected_subsets(model.coupling_map(), size);
+            let mut expected: Vec<(Vec<_>, usize, Vec<Vec<usize>>)> = Vec::new();
+            for (index, subset) in subsets.iter().enumerate() {
+                let form = brute_canonical_form(&model.subgraph_model(subset));
+                match expected.iter_mut().find(|(f, ..)| *f == form) {
+                    Some((_, _, members)) => members.push(subset.clone()),
+                    None => expected.push((form, index, vec![subset.clone()])),
+                }
+            }
+            let classes = subset_classes(&model, size);
+            prop_assert_eq!(classes.len(), expected.len(), "size {} on {}", size, model);
+            for (class, (_, index, members)) in classes.iter().zip(&expected) {
+                prop_assert_eq!(class.index(), *index);
+                prop_assert_eq!(class.members(), &members[..]);
+                prop_assert_eq!(class.representative(), &subsets[*index][..]);
             }
         }
     }

@@ -92,14 +92,15 @@ pub struct MapperConfig {
     /// Where layout permutations are allowed (Section 4.2).
     pub strategy: Strategy,
     /// Whether to iterate over connected physical-qubit subsets of size `n`
-    /// when `n < m` (Section 4.1). Preserves minimality.
+    /// when `n < m` (Section 4.1), one isomorphism class at a time.
+    /// Preserves minimality.
     pub use_subsets: bool,
     /// Cost accounting for inserted operations.
     pub cost_model: CostModel,
     /// Objective-minimization schedule and budget. With the subset
     /// optimization enabled, the conflict budget is a *total* shared
-    /// across all per-subset subinstances (enforced through one atomic
-    /// pool even when they solve in parallel), not a per-subset allowance.
+    /// across all per-class subinstances (enforced through one atomic
+    /// pool even when they solve in parallel), not a per-class allowance.
     pub minimize: MinimizeOptions,
     /// Wall-clock budget for the whole `map` call. When it fires, the
     /// best mapping found so far is returned with `proved_optimal =
@@ -108,8 +109,8 @@ pub struct MapperConfig {
     /// phases — so a run overshoots the deadline by at most one such
     /// step.
     pub deadline: Option<Duration>,
-    /// Worker threads for the per-subset solves (`None` = the machine's
-    /// available parallelism, capped by the number of subsets). The
+    /// Worker threads for the per-class solves (`None` = the machine's
+    /// available parallelism, capped by the number of subset classes). The
     /// workers share the conflict budget and the upper bound, so more
     /// threads never search more than the sequential loop would.
     pub solve_threads: Option<usize>,
@@ -117,7 +118,8 @@ pub struct MapperConfig {
     /// runs clones of one handle to let them prune (and stop) each
     /// other; the default handle is private to this configuration.
     pub control: SolveControl,
-    /// Trace recorder for per-subset encode/minimize spans
+    /// Trace recorder for the classify span and the per-class
+    /// encode/minimize spans
     /// ([`crate::trace`]). Defaults to the disabled recorder, whose
     /// recording calls are free no-ops.
     pub trace: SpanRecorder,
@@ -153,8 +155,9 @@ impl MapperConfig {
         self
     }
 
-    /// Attaches a trace recorder: per-subset encoding and minimization
-    /// spans (build time, conflicts, interrupt cause) land on it
+    /// Attaches a trace recorder: the subset classification and the
+    /// per-class encoding and minimization spans (build time, solver
+    /// counters, interrupt cause) land on it
     /// (builder style).
     pub fn with_trace(mut self, trace: SpanRecorder) -> MapperConfig {
         self.trace = trace;
@@ -167,7 +170,7 @@ impl MapperConfig {
         self
     }
 
-    /// Sets the per-subset worker-thread count (builder style).
+    /// Sets the per-class worker-thread count (builder style).
     pub fn with_solve_threads(mut self, threads: Option<usize>) -> MapperConfig {
         self.solve_threads = threads;
         self

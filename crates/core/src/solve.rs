@@ -1,14 +1,20 @@
 //! The end-to-end exact mapper.
 //!
-//! The per-subset subinstances of Section 4.1 are independent
-//! optimization problems, so [`ExactMapper::map`] distributes them over a
-//! scoped worker pool. The workers cooperate through shared atomics:
+//! Section 4.1 restricts the search to connected `n`-qubit subsets of the
+//! device. Isomorphic subsets (same labelled local model, see
+//! [`qxmap_arch::subset_classes`]) pose the same instance up to a
+//! relabeling, so [`ExactMapper::map`] encodes and minimizes one
+//! representative per class — the class's lowest subset — and the
+//! representative's minimum or refutation decides the whole class. The
+//! per-class subinstances are independent optimization problems,
+//! distributed over a scoped worker pool. The workers cooperate through
+//! shared atomics:
 //!
 //! * the best achievable cost so far — the tighter of a call-local
 //!   [`crate::SharedBound`] (this run's own candidates) and the bound of
 //!   [`MapperConfig::control`], which an external racer tightens with
 //!   costs whose results it holds (this run only reads it). Each
-//!   subinstance starts strictly below the effective bound, so subsets
+//!   subinstance starts strictly below the effective bound, so classes
 //!   that cannot improve are refuted instead of re-optimized, exactly
 //!   like the sequential loop;
 //! * the total conflict budget, drawn from one atomic pool so the
@@ -21,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use qxmap_arch::{connected_subsets, CouplingMap, DeviceModel, Layout};
+use qxmap_arch::{subset_classes, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::Circuit;
 use qxmap_sat::{minimize, MinimizeError, MinimizeOptions};
 
@@ -195,20 +201,35 @@ impl ExactMapper {
             return Ok(self.trivial(&circuit, start));
         }
 
-        // Section 4.1: subsets of physical qubits.
-        let subsets: Vec<Vec<usize>> = if self.config.use_subsets && n < m {
-            connected_subsets(self.model.coupling_map(), n)
+        // Section 4.1: subsets of physical qubits, one representative per
+        // isomorphism class, each tagged with its index in
+        // `connected_subsets` order (the span paths name it).
+        let use_subsets = self.config.use_subsets && n < m;
+        let size = if use_subsets { n } else { m };
+        if size > MAX_EXACT_QUBITS {
+            return Err(MapError::DeviceTooLarge {
+                qubits: size,
+                max: MAX_EXACT_QUBITS,
+            });
+        }
+        let subsets: Vec<(usize, Vec<usize>)> = if use_subsets {
+            let mut span = self.config.trace.span("classify");
+            let classes = subset_classes(&self.model, n);
+            span.counter(
+                "subsets",
+                classes.iter().map(|c| c.members().len() as u64).sum(),
+            );
+            span.counter("classes", classes.len() as u64);
+            span.end();
+            classes
+                .iter()
+                .map(|class| (class.index(), class.representative().to_vec()))
+                .collect()
         } else {
-            vec![(0..m).collect()]
+            vec![(0, (0..m).collect())]
         };
         if subsets.is_empty() {
             return Err(MapError::Infeasible);
-        }
-        if let Some(too_big) = subsets.iter().find(|s| s.len() > MAX_EXACT_QUBITS) {
-            return Err(MapError::DeviceTooLarge {
-                qubits: too_big.len(),
-                max: MAX_EXACT_QUBITS,
-            });
         }
 
         let change_points = self.config.strategy.change_points(&skeleton);
@@ -258,15 +279,15 @@ impl ExactMapper {
                 candidate.map(|c| (i, c))
             })
             // Workers discard strictly-worse candidates, but equal-cost
-            // ones can land in several slots; the lowest subset index
+            // ones can land in several slots; the lowest representative
             // wins, matching the sequential iteration order.
             .min_by(|(i, a), (j, b)| (a.cost, i).cmp(&(b.cost, j)))
             .map(|(_, c)| c);
 
         match best {
             Some(mut result) => {
-                // Optimal overall only if every subinstance was decided
-                // *for this cost*: a subset refuted against an externally
+                // Optimal overall only if every class was decided *for
+                // this cost*: a representative refuted against an externally
                 // tightened bound below the returned cost proves nothing
                 // about the gap in between.
                 result.proved_optimal &= !undecided || result.cost == 0;
@@ -279,7 +300,7 @@ impl ExactMapper {
         }
     }
 
-    /// One worker of the per-subset pool: claims subset indices from the
+    /// One worker of the per-class pool: claims representatives from the
     /// shared queue and solves each subinstance strictly below the
     /// effective (local ∧ external) bound, until the queue drains, the
     /// run cannot improve (bound 0), or a budget/deadline/cancellation
@@ -293,12 +314,12 @@ impl ExactMapper {
     ) {
         let n = circuit.num_qubits();
         loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            let Some(subset) = shared.subsets.get(i) else {
+            let slot = shared.next.fetch_add(1, Ordering::Relaxed);
+            let Some((i, subset)) = shared.subsets.get(slot) else {
                 return; // queue drained
             };
             if shared.stopped() {
-                // This claimed subset (and whatever the other workers are
+                // This claimed class (and whatever the other workers are
                 // about to claim) stays unprocessed: the run is undecided.
                 shared.undecided.store(true, Ordering::Relaxed);
                 return;
@@ -307,7 +328,7 @@ impl ExactMapper {
             // bounds, re-read at each subinstance start.
             let ub = shared.effective_bound();
             if ub == Some(0) {
-                // Nothing beats 0: the remaining subsets are vacuously
+                // Nothing beats 0: the remaining classes are vacuously
                 // refuted, the run stays decided.
                 return;
             }
@@ -343,12 +364,16 @@ impl ExactMapper {
                 initial_upper_bound: ub,
                 ..self.config.minimize
             };
-            let conflicts_before = enc.solver.stats().conflicts;
+            let before = enc.solver.stats();
             // Minimize grows the solver only by its totalizer.
             let (vars_before, clauses_before) = (enc.solver.num_vars(), enc.solver.num_clauses());
             let mut minimize_span = trace.span(&format!("subset{i}/minimize"));
             let outcome = minimize(&mut enc.solver, &enc.objective, options);
-            minimize_span.counter("conflicts", enc.solver.stats().conflicts - conflicts_before);
+            let after = enc.solver.stats();
+            minimize_span.counter("conflicts", after.conflicts - before.conflicts);
+            minimize_span.counter("decisions", after.decisions - before.decisions);
+            minimize_span.counter("propagations", after.propagations - before.propagations);
+            minimize_span.counter("restarts", after.restarts - before.restarts);
             minimize_span.counter(
                 "objective_clauses",
                 (enc.solver.num_clauses() - clauses_before) as u64,
@@ -426,7 +451,7 @@ impl ExactMapper {
                 &table,
             );
             let added = (mapped.original_cost() - circuit.original_cost()) as u64;
-            *shared.candidates[i]
+            *shared.candidates[slot]
                 .lock()
                 .expect("no panics under the lock") = Some(MappingResult {
                 cost: minimum.cost,
@@ -470,19 +495,20 @@ impl ExactMapper {
     }
 }
 
-/// Everything the per-subset workers share, by reference, for one
+/// Everything the per-class workers share, by reference, for one
 /// [`ExactMapper::map`] call.
 struct SharedSolveState<'a> {
-    /// The Section 4.1 subinstances, in lexicographic order.
-    subsets: &'a [Vec<usize>],
-    /// Work queue: the next unclaimed subset index.
+    /// The Section 4.1 subinstances: each class's representative with its
+    /// index in `connected_subsets` order, in lexicographic order.
+    subsets: &'a [(usize, Vec<usize>)],
+    /// Work queue: the next unclaimed position in `subsets`.
     next: AtomicUsize,
     /// Whether any subinstance went unprocessed or unproved — if so, the
     /// final result cannot claim optimality and an empty result set means
     /// budget exhaustion rather than infeasibility.
     undecided: AtomicBool,
-    /// One slot per subset; workers only fill slots whose candidate
-    /// tightened the local bound.
+    /// One slot per representative; workers only fill slots whose
+    /// candidate tightened the local bound.
     candidates: Vec<Mutex<Option<MappingResult>>>,
     /// Best candidate cost this call has found (exclusive). Private to
     /// the call, so a reused mapper starts every `map` fresh.
@@ -490,7 +516,7 @@ struct SharedSolveState<'a> {
     /// The attached control's bound, tightened by an external racer that
     /// holds results of its own. Read-only here.
     external_bound: crate::bound::SharedBound,
-    /// The lowest bound any subset was refuted against (`u64::MAX` when
+    /// The lowest bound any class was refuted against (`u64::MAX` when
     /// nothing was refuted under a bound): refutations prove nothing
     /// below this, so a final cost above it forfeits the proof.
     refutation_floor: AtomicU64,

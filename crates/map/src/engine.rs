@@ -90,8 +90,9 @@ pub trait Engine: Send + Sync {
 /// The paper's exact SAT-based method behind the unified surface.
 ///
 /// Honors the request's strategy, subset flag, cost model, conflict
-/// budget, deadline and upper bound; per-subset subinstances solve on a
-/// parallel worker pool sharing those budgets. With
+/// budget, deadline and upper bound; one subinstance per isomorphism
+/// class of subsets solves on a parallel worker pool sharing those
+/// budgets. With
 /// [`Guarantee::Optimal`] the run fails unless the result carries a
 /// minimality proof.
 #[derive(Debug, Clone, Default)]
@@ -125,9 +126,11 @@ impl ExactEngine {
             .with_subsets(options.subsets && n < m)
             .with_deadline(options.deadline)
             .with_control(self.control.clone().unwrap_or_default())
-            // Core's per-subset encode/minimize spans nest under this
-            // engine's own span ("exact/subset0/encode", or
-            // "race/exact/…" inside a portfolio race).
+            // Core's spans nest under this engine's own span: the subset
+            // classification ("exact/classify"), then encode/minimize per
+            // class ("exact/subset{i}/encode", where i is the class
+            // representative's index among the connected subsets), or
+            // "race/exact/…" inside a portfolio race.
             .with_trace(request.trace().scoped("exact"))
             .with_minimize(
                 MinimizeOptions::default()
